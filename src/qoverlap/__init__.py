@@ -28,7 +28,7 @@ from .derive import (
     MonomialBasis,
     ResidualError,
     build_basis,
-    derive_all,
+    derive_targets,
     fit_coefficients,
     measurement_forms,
     verify_table_claims,
@@ -85,7 +85,7 @@ __all__ = [
     "MonomialBasis",
     "ResidualError",
     "build_basis",
-    "derive_all",
+    "derive_targets",
     "fit_coefficients",
     "measurement_forms",
     "verify_table_claims",

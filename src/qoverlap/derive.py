@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from typing import Callable
+from functools import lru_cache, reduce
+from itertools import combinations, product
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,15 +37,15 @@ __all__ = [
     "ResidualError",
     "build_basis",
     "fit_coefficients",
-    "derive_all",
+    "derive_targets",
     "measurement_forms",
     "overlap_form",
     "pi2_form",
     "Claim",
     "ClaimReport",
     "verify_table_claims",
+    "Target",
     "TARGETS",
-    "TARGET_WORDS",
 ]
 
 SNAP_TOL = 1e-7          # distance to the nearest k/3 at which we snap
@@ -64,39 +64,93 @@ class ResidualError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _w(*seq):
-    def oracle(rho1: np.ndarray, rho2: np.ndarray) -> float:
-        acc = np.eye(4, dtype=complex)
-        for s in seq:
-            acc = acc @ (rho1 if s == 1 else rho2)
-        return float(np.trace(acc).real)
+class Arithmetic(NamedTuple):
+    """The matrix operations of one number system, for :class:`Target`."""
 
-    return oracle
-
-
-def _pi(n: int):
-    def oracle(rho1: np.ndarray, rho2: np.ndarray) -> float:
-        lam = rho1 - rho2
-        return float(np.trace(np.linalg.matrix_power(lam, n)).real)
-
-    return oracle
+    one: object
+    identity: object
+    mul: Callable
+    sub: Callable
+    trace: Callable
 
 
-#: target id -> oracle functional of (rho1, rho2)
-TARGETS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "one": lambda rho1, rho2: 1.0,
-    "o11": _w(1, 1),
-    "o22": _w(2, 2),
-    "o12": _w(1, 2),
-    "pi2": _pi(2),
-    "pi3": _pi(3),
-    "pi4": _pi(4),
-    "w1111": _w(1, 1, 1, 1),
-    "w1112": _w(1, 1, 1, 2),
-    "w1122": _w(1, 1, 2, 2),
-    "o2": _w(1, 2, 1, 2),
-    "w1222": _w(1, 2, 2, 2),
-    "w2222": _w(2, 2, 2, 2),
+FLOAT = Arithmetic(
+    one=1.0,
+    identity=np.eye(4, dtype=complex),
+    mul=np.matmul,
+    sub=np.subtract,
+    trace=lambda x: float(np.trace(x).real),
+)
+
+
+@dataclass(frozen=True)
+class Target:
+    """One functional of a state pair that the derivation can fit.
+
+    A ``word`` (s1..sk) is Tr[rho_s1 ... rho_sk], a ``moment`` n is
+    Tr[(rho1 - rho2)^n], and a target with neither is the constant 1.
+    ``prefer`` names targets fitted earlier whose graph classes this fit
+    reuses wherever its representation allows.
+    """
+
+    name: str
+    word: tuple[int, ...] = ()
+    moment: int = 0
+    prefer: tuple[str, ...] = ()
+
+    @property
+    def words(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Signed word expansion; a moment's words are merged up to cyclic rotation."""
+        if not self.moment:
+            return ((1, self.word),) if self.word else ()
+        n, acc = self.moment, Counter()
+        for word in product((1, 2), repeat=n):
+            acc[min(word[i:] + word[:i] for i in range(n))] += (-1) ** word.count(2)
+        return tuple((c, w) for w, c in sorted(acc.items()))
+
+    @property
+    def copies(self) -> int:
+        """Copies per monomial of the basis the fit needs: 2 unless a word is longer."""
+        return 2 if max((len(w) for _, w in self.words), default=0) <= 2 else 4
+
+    def __call__(self, rho1, rho2, arith: Arithmetic = FLOAT):
+        """Value on a pair, in floats or, with ``arith=EXACT``, exact rationals.
+
+        A moment is computed from its power, never from its word
+        expansion (the fits are what check that expansion), with
+        ``np.linalg.matrix_power``'s product order: a square, then one
+        more factor or a second square.
+        """
+        if self.moment:
+            lam = arith.sub(rho1, rho2)
+            power = arith.mul(lam, lam)
+            if self.moment > 2:
+                power = arith.mul(power, lam if self.moment == 3 else power)
+            return arith.trace(power)
+        if not self.word:
+            return arith.one
+        factors = (rho1 if s == 1 else rho2 for s in self.word)
+        return arith.trace(reduce(arith.mul, factors, arith.identity))
+
+
+#: Every fittable target in fit and output order; ``prefer`` targets come first.
+TARGETS: dict[str, Target] = {
+    t.name: t
+    for t in (
+        Target("one"),
+        Target("o11", word=(1, 1)),
+        Target("o22", word=(2, 2)),
+        Target("o12", word=(1, 2)),
+        Target("pi2", moment=2),
+        Target("w1111", word=(1, 1, 1, 1)),
+        Target("w1112", word=(1, 1, 1, 2)),
+        Target("w1122", word=(1, 1, 2, 2)),
+        Target("o2", word=(1, 2, 1, 2)),
+        Target("w1222", word=(1, 2, 2, 2)),
+        Target("w2222", word=(2, 2, 2, 2)),
+        Target("pi3", moment=3),
+        Target("pi4", moment=4, prefer=("pi2", "pi3")),
+    )
 }
 
 
@@ -132,14 +186,18 @@ class MonomialBasis:
     def design_matrix(self, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
         """(S, n_monomials) matrix of monomial values on the batch."""
         P = self.graph_matrix(R1s, R2s)
-        S = R1s.shape[0]
-        cols = np.empty((self.n_monomials, S))
-        for k, mono in enumerate(self.monomials):
-            col = np.ones(S)
-            for i in mono:
-                col = col * P[i]
-            cols[k] = col
-        return cols.T
+        return np.array([self.column(k, P) for k in range(self.n_monomials)]).T
+
+    def column(self, k: int, P: np.ndarray) -> np.ndarray:
+        """Values of monomial ``k`` from the (n_graphs, S) class probabilities."""
+        col = np.ones(P.shape[1])
+        for i in self.monomials[k]:
+            col = col * P[i]
+        return col
+
+    def classes(self, support) -> set[int]:
+        """Indices of the graph classes the monomials in ``support`` use."""
+        return {i for k in support for i in self.monomials[k]}
 
     def monomial_string(self, k: int) -> str:
         mono = self.monomials[k]
@@ -158,14 +216,6 @@ class MonomialBasis:
             if g.key() == key:
                 return i
         raise KeyError(f"graph {graph!s} not in basis")
-
-
-def _graph_str(self: MeasurementGraph) -> str:
-    n1, n2 = self.counts()
-    return f"{n1}x{n2}:" + "".join(f"({i}-{j})" for i, j in self.edges)
-
-
-MeasurementGraph.__str__ = _graph_str  # printable canonical form
 
 
 def build_basis(max_copies: int) -> MonomialBasis:
@@ -219,10 +269,15 @@ def overlap_form(s: int, t: int) -> list[tuple[float, tuple[MeasurementGraph, ..
     return [(1.0, ()), (-2.0, (ga,)), (-2.0, (gb,)), (4.0, (gab,))]
 
 
-def pi2_form() -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
-    """Tr[(rho1-rho2)^2] over nine graphs; the constants cancel."""
+def _closed_form(words) -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
+    """A combination of two-factor words as the sum of their overlap forms.
+
+    Terms that cancel are dropped; no words at all is the constant 1.
+    """
+    if not words:
+        return [(1.0, ())]
     acc: dict[tuple, tuple[float, tuple[MeasurementGraph, ...]]] = {}
-    for weight, (s, t) in ((1.0, (1, 1)), (1.0, (2, 2)), (-2.0, (1, 2))):
+    for weight, (s, t) in words:
         for coeff, graphs in overlap_form(s, t):
             key = tuple(g.key() for g in graphs)
             old = acc.get(key, (0.0, graphs))[0]
@@ -230,22 +285,21 @@ def pi2_form() -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
     return [(c, gs) for c, gs in acc.values() if abs(c) > 1e-15]
 
 
+def pi2_form() -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
+    """Tr[(rho1-rho2)^2] over nine graphs; the constants cancel."""
+    return _closed_form(TARGETS["pi2"].words)
+
+
 def _closed_form_support(target: str, basis: MonomialBasis) -> list[int] | None:
     """Known-support seed for the search, where the algebra gives one."""
-    forms = {
-        "one": [(1.0, ())],
-        "o11": overlap_form(1, 1),
-        "o22": overlap_form(2, 2),
-        "o12": overlap_form(1, 2),
-        "pi2": pi2_form(),
-    }
-    if target not in forms:
+    words = TARGETS[target].words
+    if any(len(w) != 2 for _, w in words):
         return None
-    idx = []
-    for _, graphs in forms[target]:
-        mono = tuple(sorted(basis.index_of_graph(g) for g in graphs))
-        idx.append(basis.monomials.index(mono))
-    return sorted(set(idx))
+    idx = {
+        basis.monomials.index(tuple(sorted(basis.index_of_graph(g) for g in graphs)))
+        for _, graphs in _closed_form(words)
+    }
+    return sorted(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +394,6 @@ def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndar
     return matchings, c
 
 
-#: functional id -> signed word expansion; a word (s1..sk) is Tr[rho_s1 ... rho_sk]
-TARGET_WORDS: dict[str, tuple[tuple[int, tuple[int, ...]], ...]] = {
-    "o11": ((1, (1, 1)),),
-    "o22": ((1, (2, 2)),),
-    "o12": ((1, (1, 2)),),
-    "pi2": ((1, (1, 1)), (-2, (1, 2)), (1, (2, 2))),
-    "pi3": ((1, (1, 1, 1)), (-3, (1, 1, 2)), (3, (1, 2, 2)), (-1, (2, 2, 2))),
-    "pi4": (
-        (1, (1, 1, 1, 1)),
-        (-4, (1, 1, 1, 2)),
-        (4, (1, 1, 2, 2)),
-        (2, (1, 2, 1, 2)),
-        (-4, (1, 2, 2, 2)),
-        (1, (2, 2, 2, 2)),
-    ),
-    "w1111": ((1, (1, 1, 1, 1)),),
-    "w1112": ((1, (1, 1, 1, 2)),),
-    "w1122": ((1, (1, 1, 2, 2)),),
-    "o2": ((1, (1, 2, 1, 2)),),
-    "w1222": ((1, (1, 2, 2, 2)),),
-    "w2222": ((1, (2, 2, 2, 2)),),
-}
-
-
 @lru_cache(maxsize=None)
 def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
     """Graph-probability monomials spanning Tr[rho_{s1} ... rho_{sk}].
@@ -405,10 +435,8 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
 
 def _symbolic_support(target: str, basis: MonomialBasis) -> list[int] | None:
     """Candidate monomial support assembled from the word expansion."""
-    words = TARGET_WORDS.get(target)
-    if words is None:
-        return None
-    if max(len(w) for _, w in words) > basis.max_copies:
+    words = TARGETS[target].words
+    if not words or max(len(w) for _, w in words) > basis.max_copies:
         return None
     total: dict[tuple[tuple, ...], float] = {}
     for weight, word in words:
@@ -447,16 +475,14 @@ def _rational_state(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return frac(re), frac(im)
 
 
-def _rat_mul(x, y):
-    return x[0].dot(y[0]) - x[1].dot(y[1]), x[0].dot(y[1]) + x[1].dot(y[0])
-
-
-def _rat_sub(x, y):
-    return x[0] - y[0], x[1] - y[1]
-
-
-def _rat_trace(x) -> Fraction:
-    return Fraction(np.trace(x[0]))
+#: Exact arithmetic on the (re, im) Fraction matrix pairs of :func:`_rational_state`.
+EXACT = Arithmetic(
+    one=Fraction(1),
+    identity=(np.eye(4, dtype=int).astype(object), np.zeros((4, 4), dtype=object)),
+    mul=lambda x, y: (x[0].dot(y[0]) - x[1].dot(y[1]), x[0].dot(y[1]) + x[1].dot(y[0])),
+    sub=lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    trace=lambda x: Fraction(np.trace(x[0])),
+)
 
 
 def _rat_correlation(rho) -> np.ndarray:
@@ -474,31 +500,6 @@ def _rat_correlation(rho) -> np.ndarray:
                         acc -= im[i, j] * si
             R[m, n] = acc
     return R
-
-
-def _rat_target(target: str, rho1, rho2) -> Fraction:
-    if target == "one":
-        return Fraction(1)
-    if target.startswith("pi"):
-        n = int(target[2])
-        lam = _rat_sub(rho1, rho2)
-        acc = lam
-        for _ in range(n - 1):
-            acc = _rat_mul(acc, lam)
-        return _rat_trace(acc)
-    seq = {"o11": "11", "o22": "22", "o12": "12", "o2": "1212"}.get(target, target[1:])
-    acc = None
-    for ch in seq:
-        rho = rho1 if ch == "1" else rho2
-        acc = rho if acc is None else _rat_mul(acc, rho)
-    return _rat_trace(acc)
-
-
-def _rat_monomial(basis: MonomialBasis, k: int, R1, R2) -> Fraction:
-    acc = Fraction(1)
-    for i in basis.monomials[k]:
-        acc *= probability_exact(basis.graphs[i], R1, R2)
-    return acc
 
 
 def _rat_solve(A: list[list[Fraction]], y: list[Fraction]) -> list[Fraction] | None:
@@ -553,8 +554,7 @@ class CoefficientVector:
         )
 
     def support_graphs(self) -> tuple[int, ...]:
-        idx = {i for k in self.entries for i in self.basis.monomials[k]}
-        return tuple(sorted(idx))
+        return tuple(sorted(self.basis.classes(self.entries)))
 
     def as_form(self) -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
         return [
@@ -563,18 +563,7 @@ class CoefficientVector:
         ]
 
     def evaluate_batch(self, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.asarray(R1s).shape[0])
-        for k, c in self.entries.items():
-            col = np.ones_like(out)
-            for i in self.basis.monomials[k]:
-                col = col * probability_batch(self.basis.graphs[i], R1s, R2s)
-            out += float(c) * col
-        return out
-
-    def evaluate(self, rho1: np.ndarray, rho2: np.ndarray) -> float:
-        R1 = to_correlation(np.asarray(rho1, dtype=complex))
-        R2 = to_correlation(np.asarray(rho2, dtype=complex))
-        return float(self.evaluate_batch(R1[None], R2[None])[0])
+        return _predict(self.basis, self.entries, self.basis.graph_matrix(R1s, R2s))
 
     def as_table(self) -> str:
         """One line per monomial: coefficient as p/q, then the monomial."""
@@ -587,6 +576,14 @@ class CoefficientVector:
                 cs = repr(c)
             lines.append(f"{cs}\t{self.basis.monomial_string(k)}")
         return "\n".join(lines) + "\n"
+
+
+def _predict(basis: MonomialBasis, entries: dict, P: np.ndarray) -> np.ndarray:
+    """Values of the combination ``entries`` from the (n_graphs, S) class probabilities."""
+    out = np.zeros(P.shape[1])
+    for k, c in entries.items():
+        out += float(c) * basis.column(k, P)
+    return out
 
 
 def _sample_ensemble(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, list, list]:
@@ -704,10 +701,6 @@ def _avoid_classes(
     return columns(banned)
 
 
-def _distinct_graphs(basis: MonomialBasis, support: list[int]) -> int:
-    return len({i for k in support for i in basis.monomials[k]})
-
-
 def fit_coefficients(
     target: str,
     basis: MonomialBasis,
@@ -743,26 +736,18 @@ def fit_coefficients(
     y = np.array([oracle(r1, r2) for r1, r2 in zip(rhos1, rhos2)])
     non_unique = rank < basis.n_monomials
 
+    seeds = [_closed_form_support(target, basis), _symbolic_support(target, basis)]
+    if prefer_classes is not None:
+        seeds.append(_avoid_classes(A, y, basis, prefer_classes))
     candidates: list[list[int]] = []
     best_res = np.inf
-    seeded = _closed_form_support(target, basis)
-    if seeded is not None:
+    for seeded in seeds:
+        if seeded is None:
+            continue
         _, res = _support_solve(A, y, seeded)
         best_res = min(best_res, res)
         if res < FIT_TOL:
             candidates.append(_prune(A, y, seeded, basis, prefer_classes))
-    symbolic = _symbolic_support(target, basis)
-    if symbolic is not None:
-        _, res = _support_solve(A, y, symbolic)
-        best_res = min(best_res, res)
-        if res < FIT_TOL:
-            candidates.append(_prune(A, y, symbolic, basis, prefer_classes))
-    if prefer_classes is not None:
-        restricted = _avoid_classes(A, y, basis, prefer_classes)
-        _, res = _support_solve(A, y, restricted)
-        best_res = min(best_res, res)
-        if res < FIT_TOL:
-            candidates.append(_prune(A, y, restricted, basis, prefer_classes))
     if not candidates:
         omp_support = _prune(A, y, sorted(_omp(A, y)), basis, prefer_classes)
         _, omp_res = _support_solve(A, y, omp_support)
@@ -778,11 +763,11 @@ def fit_coefficients(
     def classes_outside(s: list[int]) -> int:
         if prefer_classes is None:
             return 0
-        return len({i for k in s for i in basis.monomials[k]} - prefer_classes)
+        return len(basis.classes(s) - prefer_classes)
 
     support = min(
         (sorted(s) for s in candidates),
-        key=lambda s: (classes_outside(s), _distinct_graphs(basis, s), len(s), s),
+        key=lambda s: (classes_outside(s), len(basis.classes(s)), len(s), s),
     )
     coef, _ = _support_solve(A, y, support)
 
@@ -803,7 +788,7 @@ def fit_coefficients(
     exact_certified = False
     if all_rational and entries:
         keys = sorted(entries)
-        support_classes = sorted({i for k in keys for i in basis.monomials[k]})
+        support_classes = sorted(basis.classes(keys))
         crng = np.random.default_rng(seed + 1)
         n_pairs = max(EXACT_CHECK_PAIRS, len(keys) + 8)
         rows, rhs = [], []
@@ -818,7 +803,7 @@ def fit_coefficients(
                 for i in basis.monomials[k]:
                     acc *= probs[i]
                 row.append(acc)
-            t = _rat_target(target, q1, q2)
+            t = oracle(q1, q2, EXACT)
             rows.append(row)
             rhs.append(t)
             if sum(entries[k] * v for k, v in zip(keys, row)) != t:
@@ -839,12 +824,7 @@ def fit_coefficients(
     # Held-out validation on fresh pairs (graph probabilities reused
     # across monomials through the precomputed class matrix).
     y_h = np.array([oracle(r1, r2) for r1, r2 in zip(h1, h2)])
-    pred = np.zeros(len(h1))
-    for k, c in entries.items():
-        col = np.ones(len(h1))
-        for i in basis.monomials[k]:
-            col = col * P_hold[i]
-        pred += float(c) * col
+    pred = _predict(basis, entries, P_hold)
     residual = float(np.abs(pred - y_h).max()) if entries else float(np.abs(y_h).max())
     if residual >= HOLDOUT_TOL:
         raise ResidualError(
@@ -862,64 +842,54 @@ def fit_coefficients(
     )
 
 
-def derive_all(seed: int = 42, samples: int | None = None) -> dict[str, CoefficientVector]:
-    """Fit every supported functional and return the fits by target id.
+#: Fewest ensemble pairs per basis copy count; above it, twice the monomials plus 100.
+_SAMPLE_FLOOR = {2: 600, 4: 1400}
 
-    Purities, first-order overlaps and the quadratic moment live on the
-    two-copy basis; the fourth-order words and higher moments on the
-    four-copy basis.  The quartic moment is fitted last with a preference
-    for the classes the quadratic and cubic fits already require, keeping
-    the combined trace-distance workflow on as few distinct projective
-    measurements as the representation allows.
+
+def derive_targets(
+    targets: Iterable[str] | None = None, seed: int = 42, samples: int | None = None
+) -> dict[str, CoefficientVector]:
+    """Fit ``targets`` (default: every target) and return the fits in table order.
+
+    Each target is fitted on the basis its words need.  A target with
+    ``prefer`` (the quartic moment) is steered onto the classes those fits
+    require, keeping the trace-distance workflow on as few distinct
+    projective measurements as its representation allows; they are fitted
+    first even when not requested, and only requested fits are returned.
     """
+    wanted = list(TARGETS) if targets is None else list(targets)
+    unknown = sorted(set(wanted) - set(TARGETS))
+    if unknown:
+        raise ValueError(f"unknown targets {unknown}; known: {sorted(TARGETS)}")
+    needed = set(wanted) | {p for t in wanted for p in TARGETS[t].prefer}
+    bases = {c: build_basis(c) for c in sorted({TARGETS[t].copies for t in needed})}
     fits: dict[str, CoefficientVector] = {}
-    basis2 = build_basis(2)
-    basis4 = build_basis(4)
-    s2 = samples if samples is not None else max(600, 2 * basis2.n_monomials + 100)
-    s4 = samples if samples is not None else max(1400, 2 * basis4.n_monomials + 200)
-    for t in ("one", "o11", "o22", "o12", "pi2"):
-        fits[t] = fit_coefficients(t, basis2, samples=s2, seed=seed)
-    for t in ("w1111", "w1112", "w1122", "o2", "w1222", "w2222", "pi3"):
-        fits[t] = fit_coefficients(t, basis4, samples=s4, seed=seed)
-    key_to_idx = {g.key(): i for i, g in enumerate(basis4.graphs)}
-    prefer = frozenset(
-        key_to_idx[fits[t].basis.graphs[i].key()]
-        for t in ("pi2", "pi3")
-        for i in fits[t].support_graphs()
-    )
-    fits["pi4"] = fit_coefficients("pi4", basis4, samples=s4, seed=seed, prefer_classes=prefer)
-    return fits
+    for name, target in TARGETS.items():
+        if name not in needed:
+            continue
+        basis = bases[target.copies]
+        n = samples
+        if n is None:
+            n = max(_SAMPLE_FLOOR[target.copies], 2 * basis.n_monomials + 100)
+        prefer = frozenset(
+            basis.index_of_graph(fits[t].basis.graphs[i])
+            for t in target.prefer
+            for i in fits[t].support_graphs()
+        ) if target.prefer else None
+        fits[name] = fit_coefficients(name, basis, samples=n, seed=seed, prefer_classes=prefer)
+    return {t: fit for t, fit in fits.items() if t in wanted}
 
 
 def measurement_forms(
     seed: int = 42, samples: int | None = None
 ) -> dict[str, list[tuple[float, tuple[MeasurementGraph, ...]]]]:
-    """Graph decompositions for the six statistics the estimator consumes.
+    """Graph decompositions of the six estimator statistics.
 
-    Trimmed version of :func:`derive_all`: fits only o11, o22, o12, o2,
-    pi3 and pi4 (plus pi2, which is needed to steer the quartic moment
-    onto shared measurement classes) and returns them in the
-    ``target -> [(coefficient, graphs)]`` shape that
+    The ``target -> [(coefficient, graphs)]`` shape that
     :func:`qoverlap.interferometer.estimate_distances` expects.
     """
-    basis2 = build_basis(2)
-    basis4 = build_basis(4)
-    s2 = samples if samples is not None else max(600, 2 * basis2.n_monomials + 100)
-    s4 = samples if samples is not None else max(1400, 2 * basis4.n_monomials + 200)
-    fits = {
-        t: fit_coefficients(t, basis2, samples=s2, seed=seed)
-        for t in ("o11", "o22", "o12", "pi2")
-    }
-    for t in ("o2", "pi3"):
-        fits[t] = fit_coefficients(t, basis4, samples=s4, seed=seed)
-    key_to_idx = {g.key(): i for i, g in enumerate(basis4.graphs)}
-    prefer = frozenset(
-        key_to_idx[fits[t].basis.graphs[i].key()]
-        for t in ("pi2", "pi3")
-        for i in fits[t].support_graphs()
-    )
-    fits["pi4"] = fit_coefficients("pi4", basis4, samples=s4, seed=seed, prefer_classes=prefer)
-    return {n: fits[n].as_form() for n in ("o11", "o22", "o12", "o2", "pi3", "pi4")}
+    fits = derive_targets(interferometer.STAT_NAMES, seed=seed, samples=samples)
+    return {t: fit.as_form() for t, fit in fits.items()}
 
 
 # ---------------------------------------------------------------------------

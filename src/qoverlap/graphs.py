@@ -25,10 +25,8 @@ __all__ = [
     "count_matchings",
     "is_connected_spanning",
     "enumerate_classes",
-    "probability",
     "probability_batch",
     "probability_exact",
-    "subsumes",
     "connected_components",
     "dedup_report",
 ]
@@ -54,7 +52,6 @@ class MeasurementGraph:
 
     layout: ModeLayout
     edges: tuple[tuple[int, int], ...]
-    label: str | None = None
 
     def __post_init__(self) -> None:
         edges = _normalize_edges(self.edges)
@@ -69,6 +66,11 @@ class MeasurementGraph:
                 if k in seen:
                     raise ValueError(f"mode {k} appears in two edges; edges must be disjoint")
                 seen.add(k)
+
+    def __str__(self) -> str:
+        """Printable form ``AxB:(i-j)...``, as the coefficient tables show it."""
+        n1, n2 = self.counts()
+        return f"{n1}x{n2}:" + "".join(f"({i}-{j})" for i, j in self.edges)
 
     @property
     def n_edges(self) -> int:
@@ -95,7 +97,7 @@ class MeasurementGraph:
             tuple(2 * perm[m // 2] + (m % 2) for m in e)
             for e in self.edges
         ]
-        return MeasurementGraph(new_layout, edges, self.label)
+        return MeasurementGraph(new_layout, edges)
 
     def minimal(self) -> "MeasurementGraph":
         """Drop untouched copies and re-sort into standard layout order."""
@@ -122,7 +124,7 @@ class MeasurementGraph:
                 )
                 if best is None or edges < best:
                     best = edges
-        return MeasurementGraph(g.layout, best, self.label)
+        return MeasurementGraph(g.layout, best)
 
     def role_swapped(self) -> "MeasurementGraph":
         """The same graph with the two states' roles exchanged."""
@@ -190,21 +192,6 @@ def is_connected_spanning(layout: ModeLayout, edges) -> bool:
     return len(comps) == 1 and len(comps[0]) == layout.n_copies
 
 
-def _class_universe(max_copies: int) -> list[MeasurementGraph]:
-    classes: dict[tuple, MeasurementGraph] = {}
-    for n1 in range(max_copies + 1):
-        for n2 in range(max_copies + 1 - n1):
-            if n1 + n2 < 1:
-                continue
-            layout = ModeLayout.standard(n1, n2)
-            for edges in enumerate_matchings(list(range(layout.n_modes))):
-                if not edges or not is_connected_spanning(layout, edges):
-                    continue
-                g = MeasurementGraph(layout, edges).canonical()
-                classes.setdefault(g.key(), g)
-    return sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges))
-
-
 def _fingerprint_states() -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(_FINGERPRINT_SEED)
     R1s, R2s = [], []
@@ -216,23 +203,31 @@ def _fingerprint_states() -> tuple[np.ndarray, np.ndarray]:
     return np.array(R1s), np.array(R2s)
 
 
-def enumerate_classes(max_copies: int = 4, merge_fingerprints: bool = True) -> list[MeasurementGraph]:
+def enumerate_classes(max_copies: int = 4) -> list[MeasurementGraph]:
     """Connected graph classes on every layout with at most ``max_copies`` copies.
 
-    Graphs are deduplicated by canonical form under copy exchange; with
-    ``merge_fingerprints`` classes whose probability functionals agree on
-    a fixed random ensemble (rounded at 1e-10) are merged as well, so no
-    two returned classes are equivalent as measurements.  Connected
+    Graphs are deduplicated by canonical form under copy exchange, and
+    classes whose probability functionals agree on a fixed random ensemble
+    (rounded at 1e-10) are merged as well, so no two returned classes are
+    equivalent as measurements.  Connected
     classes generate everything else: a disconnected graph's probability
     is the product over its components, and untouched copies are
     dropped.  Deterministic ordering.
     """
-    classes = _class_universe(max_copies)
-    if not merge_fingerprints:
-        return classes
+    classes: dict[tuple, MeasurementGraph] = {}
+    for n1 in range(max_copies + 1):
+        for n2 in range(max_copies + 1 - n1):
+            if n1 + n2 < 1:
+                continue
+            layout = ModeLayout.standard(n1, n2)
+            for edges in enumerate_matchings(list(range(layout.n_modes))):
+                if not edges or not is_connected_spanning(layout, edges):
+                    continue
+                g = MeasurementGraph(layout, edges).canonical()
+                classes.setdefault(g.key(), g)
     R1s, R2s = _fingerprint_states()
     seen: dict[tuple, MeasurementGraph] = {}
-    for g in classes:
+    for g in sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)):
         fp = tuple(np.round(probability_batch(g, R1s, R2s), 10))
         seen.setdefault(fp, g)
     return sorted(seen.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges))
@@ -314,13 +309,6 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
     return np.einsum(spec, *operands, optimize=True) / 4.0**graph.n_edges
 
 
-def probability(graph: MeasurementGraph, rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Probability that every edge of the graph fires at once (one pair)."""
-    R1 = to_correlation(np.asarray(rho1, dtype=complex))
-    R2 = to_correlation(np.asarray(rho2, dtype=complex))
-    return float(probability_batch(graph, R1[None], R2[None])[0])
-
-
 def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
     """Exact rational graph probability from rational correlation matrices.
 
@@ -348,35 +336,8 @@ def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Structural relations and counting
+# Counting
 # ---------------------------------------------------------------------------
-
-
-def subsumes(big: MeasurementGraph, small: MeasurementGraph) -> bool:
-    """True when ``small`` embeds into ``big`` as a sub-measurement.
-
-    An embedding maps the small graph's copies injectively onto copies of
-    the same state in ``big`` so every edge lands on an edge of ``big``;
-    the remaining edges are then simply ignored readouts, so ``small``
-    comes free from ``big``'s joint statistics.
-    """
-    sg, bg = small.minimal(), big.minimal()
-    s1, s2 = sg.counts()
-    b1, b2 = bg.counts()
-    if s1 > b1 or s2 > b2:
-        return False
-    big_edges = set(bg.edges)
-    for p1 in permutations(range(b1), s1):
-        for p2 in permutations(range(b2), s2):
-            perm = {i: p1[i] for i in range(s1)}
-            perm.update({s1 + i: b1 + p2[i] for i in range(s2)})
-            ok = all(
-                tuple(sorted(2 * perm[m // 2] + (m % 2) for m in e)) in big_edges
-                for e in sg.edges
-            )
-            if ok:
-                return True
-    return False
 
 
 def _orbit_count(classes: list[MeasurementGraph], role_swap: bool) -> int:

@@ -21,7 +21,7 @@ from itertools import permutations
 import numpy as np
 
 from .core import __version__, ModeLayout, assemble, to_correlation
-from .graphs import MeasurementGraph, probability_batch, subsumes
+from .graphs import MeasurementGraph, probability_batch
 from .oracle import distance_set, trace_distance, hilbert_schmidt, sub_super_fidelity
 from .overlaps import P_MINUS
 
@@ -38,6 +38,7 @@ __all__ = [
     "find_embedding",
     "plan_configurations",
     "estimate_distances",
+    "STAT_NAMES",
 ]
 
 PATTERN_TOL = 1e-9       # tolerated leakage when normalizing a joint distribution
@@ -271,7 +272,7 @@ def plan_configurations(
 
     maximal, free = [], []
     for g in req:
-        if any(h.key() != g.key() and subsumes(h, g) for h in req):
+        if any(h.key() != g.key() and find_embedding(h, g) is not None for h in req):
             free.append(g)
         else:
             maximal.append(g)
@@ -348,7 +349,7 @@ class EstimationReport:
         return all(ok for _, ok in self.audit)
 
 
-_STAT_ORDER = ("o11", "o22", "o12", "o2", "pi3", "pi4")
+STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 
 
 def _sample_plan(plan, R1, R2, shots, seed, threads):
@@ -419,7 +420,7 @@ def _stat_values(forms, keys, phat, cov):
     multiplicative bias is accepted and documented.
     """
     index = {key: i for i, key in enumerate(keys)}
-    names = [n for n in _STAT_ORDER if n in forms]
+    names = [n for n in STAT_NAMES if n in forms]
     values = np.zeros(len(names))
     J = np.zeros((len(names), len(keys)))
     for si, name in enumerate(names):
@@ -493,7 +494,7 @@ def estimate_distances(
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
-    missing = [n for n in _STAT_ORDER if n not in forms]
+    missing = [n for n in STAT_NAMES if n not in forms]
     if missing:
         raise ValueError(f"forms missing statistics {missing}")
     needed = [g for form in forms.values() for _, graphs in form for g in graphs]
@@ -610,16 +611,6 @@ def estimate_distances(
             t_err,
         ),
     )
-    violations = set(ds.chain_violations())
-    audit_names = (
-        "E <= F",
-        "F <= G",
-        "1 - sqrtF <= T",
-        "T <= sqrt(1 - F)",
-        "H >= 0",
-        "H <= 2T",
-    )
-    audit = tuple((name, name not in violations) for name in audit_names)
     return EstimationReport(
         seed=seed,
         shots=shots,
@@ -628,5 +619,5 @@ def estimate_distances(
         n_configurations=len(plan.configurations),
         statistics=statistics,
         measures=measures,
-        audit=audit,
+        audit=tuple(ds.chain_audit()),
     )

@@ -148,11 +148,11 @@ class DistanceSet:
     linear_entropy_1: float
     linear_entropy_2: float
 
-    def chain_violations(self, slack: float = 1e-9) -> list[str]:
-        """Chain inequalities violated beyond ``slack`` (empty when all hold).
+    def chain_audit(self, slack: float = 1e-9) -> list[tuple[str, bool]]:
+        """Every chain inequality with whether it holds within ``slack``.
 
         Checks ``E <= F <= G``, ``1 - f <= T <= sqrt(1 - f^2)`` with
-        ``f = sqrt(F)``, and ``0 <= H <= 2T``.
+        ``f = sqrt(F)``, and ``0 <= H <= 2T``, in that order.
         """
         f, t, h = self.sqrt_fidelity, self.trace_distance, self.hilbert_schmidt
         checks = [
@@ -163,7 +163,11 @@ class DistanceSet:
             ("H >= 0", h >= -slack),
             ("H <= 2T", h <= 2.0 * t + slack),
         ]
-        return [name for name, ok in checks if not ok]
+        return [(name, bool(ok)) for name, ok in checks]
+
+    def chain_violations(self, slack: float = 1e-9) -> list[str]:
+        """Chain inequalities violated beyond ``slack`` (empty when all hold)."""
+        return [name for name, ok in self.chain_audit(slack) if not ok]
 
 
 def distance_set(rho1: np.ndarray, rho2: np.ndarray) -> DistanceSet:

@@ -25,7 +25,6 @@ __all__ = [
     "overlap_tensors",
     "overlap_first",
     "overlap_second",
-    "overlap_second_blocks",
     "word_overlap_matrix",
     "word_overlap_bloch",
     "OverlapSet",
@@ -157,12 +156,6 @@ def overlap_second(rho1: np.ndarray, rho2: np.ndarray) -> float:
     if abs(total.imag) > 1e-9:
         raise ValueError(f"second-order overlap has imaginary residue {total.imag:.3e}")
     return float(total.real)
-
-
-def overlap_second_blocks(rho1: np.ndarray, rho2: np.ndarray) -> tuple[complex, ...]:
-    """The four per-tensor contraction values (diagnostics for the cancellation)."""
-    R1, R2 = _as_correlation(rho1), _as_correlation(rho2)
-    return tuple(_contract_rank8(R1, R2, a) for a in overlap_tensors())
 
 
 def word_overlap_matrix(word: str, rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoverlap import derive_all, plan_configurations
+from qoverlap import derive_targets, plan_configurations
 
 STATES_DIR = Path(__file__).resolve().parent.parent / "states"
 
@@ -20,7 +20,7 @@ STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 @pytest.fixture(scope="session")
 def fits():
     """The full coefficient battery at the production seed."""
-    return derive_all(seed=42)
+    return derive_targets(seed=42)
 
 
 @pytest.fixture(scope="session")

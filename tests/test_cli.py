@@ -11,11 +11,17 @@ import numpy as np
 import pytest
 
 import qoverlap.cli as cli
+import qoverlap.derive as derive
 from qoverlap.derive import ResidualError
 
-STATES = Path(__file__).resolve().parent.parent / "states"
+ROOT = Path(__file__).resolve().parent.parent
+STATES = ROOT / "states"
 BELL = str(STATES / "bell.json")
 MIXED = str(STATES / "mixed.json")
+KET00 = {
+    "label": "ket00",
+    "matrix": {"re": np.diag([1, 0, 0, 0]).tolist(), "im": np.zeros((4, 4)).tolist()},
+}
 
 
 class TestDistance:
@@ -43,6 +49,13 @@ class TestDistance:
         assert doc["oracle"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert doc["oracle"]["trace_distance"] == pytest.approx(0.0, abs=1e-9)
         assert doc["overlap_route"]["hilbert_schmidt"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_oracle_overlap_is_the_spectral_overlap(self, tmp_state, capsys):
+        ket00 = tmp_state(KET00)
+        cli.main(["distance", ket00, ket00, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["oracle"]["overlap"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["oracle"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -120,9 +133,37 @@ class TestDerive:
         def boom(target, basis, samples, seed=42, prefer_classes=None):
             raise ResidualError(f"no representation of {target!r} on this basis")
 
-        monkeypatch.setattr(cli, "fit_coefficients", boom)
+        monkeypatch.setattr(derive, "fit_coefficients", boom)
         assert cli.main(["derive", "--target", "pi2"]) == 3
         assert "pi2" in capsys.readouterr().err
+
+    def test_all_targets_print_the_golden_tables(self, fits, monkeypatch, capsys):
+        """The battery's tables and claim report, minus the run-specific lines."""
+        monkeypatch.setattr(derive, "fit_coefficients", lambda target, *a, **k: fits[target])
+        assert cli.main(["derive", "--target", "all"]) == 0
+        header, blank, *lines = capsys.readouterr().out.split("\n")
+        assert header.startswith("qoverlap ") and blank == ""
+        got = "\n".join(line for line in lines if not line.startswith("# residual "))
+        assert got == (ROOT / "perfbench" / "golden_tables.txt").read_text()
+
+    def test_quartic_moment_is_steered_by_pi2_and_pi3(self, fits, monkeypatch, capsys):
+        calls = []
+
+        def record(target, basis, samples, seed=42, prefer_classes=None):
+            calls.append((target, basis, prefer_classes))
+            return fits[target]
+
+        monkeypatch.setattr(derive, "fit_coefficients", record)
+        assert cli.main(["derive", "--target", "pi4"]) == 0
+        assert [t for t, _, _ in calls] == ["pi2", "pi3", "pi4"]
+        assert calls[0][2] is None and calls[1][2] is None
+        _, basis4, prefer_classes = calls[2]
+        prefer = {basis4.graphs[i].key() for i in prefer_classes}
+        assert prefer == {
+            fits[t].basis.graphs[i].key() for t in ("pi2", "pi3") for i in fits[t].support_graphs()
+        }
+        out = capsys.readouterr().out
+        assert "# target: pi4" in out and "# target: pi2" not in out
 
 
 class TestSweep:

@@ -9,12 +9,10 @@ from qoverlap.graphs import (
     dedup_report,
     enumerate_classes,
     enumerate_matchings,
-    probability,
     probability_batch,
     probability_exact,
-    subsumes,
 )
-from qoverlap.interferometer import graph_probability
+from qoverlap.interferometer import find_embedding, graph_probability
 
 
 def _rand_R(rng):
@@ -69,7 +67,7 @@ class TestProbabilities:
         rho1, rho2 = random_state(4, seed=rng), random_state(4, seed=rng)
         R1, R2 = to_correlation(rho1), to_correlation(rho2)
         for g in enumerate_classes(2)[:12]:
-            p_bloch = probability(g, rho1, rho2)
+            p_bloch = graph_probability(g, rho1, rho2, method="bloch")
             p_dense = graph_probability(g, rho1, rho2, method="dense")
             assert p_bloch == pytest.approx(p_dense, abs=1e-11)
 
@@ -93,7 +91,7 @@ class TestProbabilities:
         rhos = [(random_state(4, seed=rng), random_state(4, seed=rng)) for _ in range(5)]
         for g in enumerate_classes(3)[:40]:
             for rho1, rho2 in rhos:
-                p = probability(g, rho1, rho2)
+                p = graph_probability(g, rho1, rho2)
                 assert -1e-12 <= p <= 1.0 + 1e-12
 
     def test_batch_matches_scalar(self):
@@ -113,8 +111,8 @@ class TestProbabilities:
         lay = ModeLayout((1, 2, 1, 2))
         g = MeasurementGraph(lay, [(0, 2), (4, 6)])  # two disjoint cross edges
         g_left = MeasurementGraph(ModeLayout((1, 2)), [(0, 2)])
-        p = probability(g, rho1, rho2)
-        p_left = probability(g_left, rho1, rho2)
+        p = graph_probability(g, rho1, rho2)
+        p_left = graph_probability(g_left, rho1, rho2)
         assert p == pytest.approx(p_left * p_left, abs=1e-12)
 
     def test_singlet_projection_on_singlet(self):
@@ -124,7 +122,7 @@ class TestProbabilities:
         psi_minus[1, 2] = psi_minus[2, 1] = -0.5
         g = MeasurementGraph(ModeLayout((1, 2)), [(0, 2), (1, 3)])
         # joint singlet projection on Psi- x Psi- has probability 1/4
-        p = probability(g, psi_minus, psi_minus)
+        p = graph_probability(g, psi_minus, psi_minus)
         assert p == pytest.approx(0.25, abs=1e-12)
 
 
@@ -145,17 +143,17 @@ class TestSubsumption:
         lay = ModeLayout((1, 2))
         big = MeasurementGraph(lay, [(0, 2), (1, 3)])
         small = MeasurementGraph(lay, [(0, 2)])
-        assert subsumes(big, small)
-        assert not subsumes(small, big)
+        assert find_embedding(big, small) is not None
+        assert find_embedding(small, big) is None
 
     def test_needs_matching_state_ids(self):
         big = MeasurementGraph(ModeLayout((1, 1)), [(0, 2)])
         small = MeasurementGraph(ModeLayout((1, 2)), [(0, 2)])
-        assert not subsumes(big, small)
+        assert find_embedding(big, small) is None
 
     def test_reflexive(self):
         g = MeasurementGraph(ModeLayout((1, 2)), [(0, 2)])
-        assert subsumes(g, g)
+        assert find_embedding(g, g) is not None
 
 
 class TestDedupReport:
