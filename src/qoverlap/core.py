@@ -29,6 +29,7 @@ __all__ = [
     "validate_density",
     "n_qubits",
     "purity",
+    "guarded_sqrt",
     "to_correlation",
     "from_correlation",
     "partial_trace",
@@ -115,6 +116,24 @@ def purity(rho: np.ndarray) -> float:
     """``Tr(rho^2)`` as a real number."""
     rho = np.asarray(rho, dtype=complex)
     return float(np.einsum("ij,ji->", rho, rho).real)
+
+
+def guarded_sqrt(radicand: float, what: str, scale: float, tol: float) -> float:
+    """Square root of a theoretically nonnegative radicand.
+
+    Values below the negative threshold ``tol`` mean the inputs were not
+    states and raise.  Values inside the floating-point noise band of
+    ``scale`` are zeroed: the fidelity-bound radicands vanish identically
+    at their equality cases (pure inputs), and the square root would
+    otherwise amplify an O(eps) residue to O(sqrt(eps)) -- enough to
+    overshoot the fidelity.
+    """
+    if radicand < tol:
+        raise ValueError(f"negative radicand {radicand:.3e} in {what}; inputs are not physical states")
+    eps = float(np.finfo(float).eps)
+    if radicand < 256.0 * eps * max(scale, eps):
+        return 0.0
+    return float(np.sqrt(radicand))
 
 
 def to_correlation(rho: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .core import __version__, ModeLayout, assemble, to_correlation
 from .graphs import MeasurementGraph, probability_batch
 from .oracle import distance_set, trace_distance, hilbert_schmidt, sub_super_fidelity
-from .overlaps import P_MINUS
+from .overlaps import P_MINUS, characteristic_roots
 
 __all__ = [
     "GraphOutcome",
@@ -465,9 +465,7 @@ def _guarded_sqrt_err(u: float, var_u: float) -> tuple[float, float]:
 
 def _lenient_trace_distance(pi2: float, pi3: float, pi4: float) -> float:
     """Quartic-root trace distance tolerating noisy (slightly complex) roots."""
-    det = 0.25 * (0.5 * pi2 * pi2 - pi4)
-    roots = np.roots([1.0, 0.0, -0.5 * pi2, -pi3 / 3.0, det])
-    return float(0.5 * np.abs(roots.real).sum())
+    return float(0.5 * np.abs(characteristic_roots(pi2, pi3, pi4).real).sum())
 
 
 def estimate_distances(

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import guarded_sqrt
+
 __all__ = [
     "fidelity",
     "sqrt_fidelity",
@@ -49,23 +51,6 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w[w < 16.0 * np.finfo(float).eps * max(float(w[-1]), 0.0)] = 0.0
     w = np.sqrt(np.clip(w, 0.0, None))
     return (v * w) @ v.conj().T
-
-
-def _guarded_sqrt(radicand: float, what: str, scale: float = 0.0) -> float:
-    """Square root of a theoretically nonnegative radicand.
-
-    Values below ``RADICAND_TOL`` mean the inputs were not states and
-    raise.  Values inside the floating-point noise band of ``scale`` are
-    zeroed: the bound radicands vanish identically at their equality
-    cases (pure inputs), and the square root would otherwise amplify an
-    O(eps) residue to O(sqrt(eps)) -- enough to overshoot the fidelity.
-    """
-    if radicand < RADICAND_TOL:
-        raise ValueError(f"negative radicand {radicand:.3e} in {what}; inputs are not physical states")
-    eps = float(np.finfo(float).eps)
-    if radicand < 256.0 * eps * max(scale, eps):
-        return 0.0
-    return float(np.sqrt(radicand))
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -128,9 +113,9 @@ def sub_super_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> tuple[float, float
     o = overlap(rho1, rho2)
     prod = rho1 @ rho2
     o2 = float(np.einsum("ij,ji->", prod, prod).real)
-    e = o + _guarded_sqrt(2.0 * (o * o - o2), "subfidelity", scale=max(o * o, abs(o2)))
+    e = o + guarded_sqrt(2.0 * (o * o - o2), "subfidelity", max(o * o, abs(o2)), RADICAND_TOL)
     s1, s2 = linear_entropy(rho1), linear_entropy(rho2)
-    g = o + _guarded_sqrt(s1 * s2, "superfidelity", scale=max(s1, s2))
+    g = o + guarded_sqrt(s1 * s2, "superfidelity", max(s1, s2), RADICAND_TOL)
     return e, g
 
 

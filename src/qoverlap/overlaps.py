@@ -1,14 +1,15 @@
 """Correlation-matrix overlap algebra.
 
 Everything a singlet-projection experiment can reach lives here:
-first/second-order overlaps written as contractions of correlation
-matrices against state-independent Pauli tensors, mixed-word overlaps,
-moments of the difference matrix, and the trace distance recovered from
-those moments via the quartic characteristic polynomial.  The module
-also carries the permutation-operator identities (shift operator,
-swap expansion, overlap operator, singlet product rule) as executable
-checks; each of them was used to pin down sign and normalization
-conventions against the spectral oracle.
+first/second-order and mixed-word overlaps, each one word contraction
+of correlation matrices against state-independent Pauli chain kernels
+(einsum paths planned once, at import), moments of the difference
+matrix, and the trace distance recovered from those moments via the
+quartic characteristic polynomial.  The module also carries the
+permutation-operator identities (shift operator, swap expansion,
+overlap operator, singlet product rule) as executable checks; each of
+them was used to pin down sign and normalization conventions against
+the spectral oracle.
 """
 from __future__ import annotations
 
@@ -17,12 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PAULI, mode_swap_unitary, to_correlation
+from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation
 
 __all__ = [
     "P_MINUS",
     "factor_tensor",
-    "overlap_tensors",
     "overlap_first",
     "overlap_second",
     "word_overlap_matrix",
@@ -31,6 +31,7 @@ __all__ = [
     "overlap_set",
     "MomentSet",
     "moments",
+    "characteristic_roots",
     "trace_distance_via_moments",
     "OverlapDistances",
     "distances_from_overlaps",
@@ -52,6 +53,9 @@ P_MINUS.setflags(write=False)
 # ~1e-4 for a quadruple root — so residues below this ceiling are root-
 # finder artifacts of a legitimate degenerate spectrum, not bad input.
 ROOT_IMAG_TOL = 1e-3
+
+# Radicands below this mean the overlaps did not come from states.
+RADICAND_TOL = -1e-9
 
 
 def factor_tensor() -> np.ndarray:
@@ -81,29 +85,32 @@ _K4 = np.einsum("uab,ucd->abcd", _F, _F)
 _K4.setflags(write=False)
 
 
-@lru_cache(maxsize=1)
-def overlap_tensors() -> tuple[np.ndarray, ...]:
-    """The four rank-8 state-independent tensors behind the second-order overlap.
+# Per word length: einsum subscripts, one chain kernel per qubit slot,
+# normalization.
+_WORD_KERNELS = {
+    2: ("mn,mn->", (), 4.0),
+    3: ("mn,kl,xy,mkx,nly->", (_K3, _K3), 16.0),
+    4: ("mn,kl,xy,rs,mkxr,nlys->", (_K4, _K4), 64.0),
+}
+# Greedy einsum paths, planned once on placeholder operands rather than
+# searched for on every call; two matrices contract directly.
+_WORD_PATHS = {
+    c: np.einsum_path(sub, *[np.zeros((4, 4))] * c, *kernels, optimize="greedy")[0] if kernels else False
+    for c, (sub, kernels, _) in _WORD_KERNELS.items()
+}
 
-    ``Tr[(rho1 rho2)^2]`` equals the contraction of
-    ``R1[m,n] R2[k,l] R1[x,y] R2[r,s]`` against ``A1 + A2 + A3 + A4``:
-    the identity-identity block, the two single-sided traceless blocks,
-    and the doubly-traceless block carrying the Levi-Civita terms.  All
-    four share the prefactor 2**-6.  (The alternating sign pattern
-    ``A1 - A2 - A3 + A4`` with 2**-10 prefactors, tempting as it looks
-    from the sub-block traces, does not reproduce the oracle; the
-    all-plus combination below does, to machine precision.)
+
+def _contract_word(word: str, R: dict[str, np.ndarray]) -> float:
+    """``Tr(rho_w1 rho_w2 ...)`` from the correlation matrices ``R["1"], R["2"]``.
+
+    The Levi-Civita terms of the kernels cancel in the total; a residual
+    imaginary part above 1e-9 signals a broken kernel and raises.
     """
-    delta = _F[0].real  # f[0, a, b] = delta_ab
-    ffp = np.einsum("uab,ucd->abcd", _F[1:], _F[1:])  # traceless-u part, complex
-    dd = np.einsum("mk,xr->mkxr", delta, delta)
-    a1 = np.einsum("mkxr,nlys->mkxrnlys", dd, dd) / 64.0
-    a2 = np.einsum("mkxr,nlys->mkxrnlys", ffp, dd.astype(complex)) / 64.0
-    a3 = np.einsum("mkxr,nlys->mkxrnlys", dd.astype(complex), ffp) / 64.0
-    a4 = np.einsum("mkxr,nlys->mkxrnlys", ffp, ffp) / 64.0
-    for a in (a1, a2, a3, a4):
-        a.setflags(write=False)
-    return a1, a2, a3, a4
+    subscripts, kernels, norm = _WORD_KERNELS[len(word)]
+    total = np.einsum(subscripts, *(R[ch] for ch in word), *kernels, optimize=_WORD_PATHS[len(word)])
+    if abs(total.imag / norm) > 1e-9:
+        raise ValueError(f"word {word} overlap has imaginary residue {total.imag / norm:.3e}")
+    return float(total.real / norm)
 
 
 def _as_correlation(state: np.ndarray) -> np.ndarray:
@@ -127,35 +134,16 @@ def overlap_first(R1: np.ndarray, R2: np.ndarray) -> float:
 
     Accepts correlation matrices or density matrices.
     """
-    R1, R2 = _as_correlation(R1), _as_correlation(R2)
-    return float(np.einsum("mn,mn->", R1, R2) / 4.0)
-
-
-_EINSUM_8 = "mn,kl,xy,rs,mkxrnlys->"
-_PATH_8: list | None = None
-
-
-def _contract_rank8(R1: np.ndarray, R2: np.ndarray, tensor: np.ndarray) -> complex:
-    global _PATH_8
-    if _PATH_8 is None:
-        _PATH_8 = np.einsum_path(_EINSUM_8, R1, R2, R1, R2, tensor, optimize="optimal")[0]
-    return complex(np.einsum(_EINSUM_8, R1, R2, R1, R2, tensor, optimize=_PATH_8))
+    return word_overlap_bloch("12", R1, R2)
 
 
 def overlap_second(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Second-order overlap ``Tr[(rho1 rho2)^2]`` from correlation matrices alone.
 
-    Contracts ``R1 R2 R1 R2`` against the precomputed rank-8 tensors of
-    :func:`overlap_tensors`.  The Levi-Civita contributions cancel in the
-    total; a residual imaginary part above 1e-9 signals a broken tensor
-    and raises.
+    The word ``1212``: ``R1 R2 R1 R2`` contracted against one ``K4``
+    chain kernel per qubit slot.
     """
-    R1, R2 = _as_correlation(rho1), _as_correlation(rho2)
-    a1, a2, a3, a4 = overlap_tensors()
-    total = sum(_contract_rank8(R1, R2, a) for a in (a1, a2, a3, a4))
-    if abs(total.imag) > 1e-9:
-        raise ValueError(f"second-order overlap has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return word_overlap_bloch("1212", rho1, rho2)
 
 
 def word_overlap_matrix(word: str, rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -175,16 +163,7 @@ def word_overlap_bloch(word: str, R1: np.ndarray, R2: np.ndarray) -> float:
     degree 4: ``2**-6 sum RRRR K4 K4`` — one kernel per qubit slot.
     """
     _check_word(word)
-    R = {"1": _as_correlation(R1), "2": _as_correlation(R2)}
-    ops = [R[ch] for ch in word]
-    c = len(word)
-    if c == 2:
-        return float(np.einsum("mn,mn->", *ops) / 4.0)
-    if c == 3:
-        return float(np.einsum("mn,kl,xy,mkx,nly->", *ops, _K3, _K3, optimize=True).real / 16.0)
-    if c == 4:
-        return float(np.einsum("mn,kl,xy,rs,mkxr,nlys->", *ops, _K4, _K4, optimize=True).real / 64.0)
-    raise ValueError(f"no closed kernel for words of length {c}")
+    return _contract_word(word, {"1": _as_correlation(R1), "2": _as_correlation(R2)})
 
 
 def _check_word(word: str) -> None:
@@ -225,14 +204,9 @@ _MIXED_WORDS = (
 
 def overlap_set(rho1: np.ndarray, rho2: np.ndarray) -> OverlapSet:
     """Assemble all overlaps of a pair from its correlation matrices."""
-    R1, R2 = _as_correlation(rho1), _as_correlation(rho2)
-    return OverlapSet(
-        O11=overlap_first(R1, R1),
-        O22=overlap_first(R2, R2),
-        O12=overlap_first(R1, R2),
-        O2_12=overlap_second(R1, R2),
-        mixed={w: word_overlap_bloch(w, R1, R2) for w in _MIXED_WORDS},
-    )
+    R = {"1": _as_correlation(rho1), "2": _as_correlation(rho2)}
+    w = {word: _contract_word(word, R) for word in ("11", "22", "12") + _MIXED_WORDS}
+    return OverlapSet(O11=w.pop("11"), O22=w.pop("22"), O12=w.pop("12"), O2_12=w["1212"], mixed=w)
 
 
 @dataclass(frozen=True)
@@ -256,10 +230,9 @@ def moments_from_overlaps(o: OverlapSet) -> MomentSet:
     and the two degree-(3,1) terms; transcribing them with opposite signs
     fails the oracle check by O(1).)
 
-    Every term goes through the same word-contraction kernel — including
-    ``Tr[(rho1 rho2)^2]`` as the word 1212 rather than the four-tensor
-    route — so that for bitwise-identical inputs the expansions cancel
-    exactly and the moments of a zero difference are exact zeros.
+    Every term is one word contraction of correlation matrices, so for
+    bitwise-identical inputs the expansions cancel exactly and the
+    moments of a zero difference are exact zeros.
     """
     w = o.mixed
     pi2 = o.O11 + o.O22 - 2.0 * o.O12
@@ -275,45 +248,49 @@ def moments_from_overlaps(o: OverlapSet) -> MomentSet:
     return MomentSet(pi1=0.0, pi2=pi2, pi3=pi3, pi4=pi4)
 
 
-def moments(rho1: np.ndarray, rho2: np.ndarray, cross_check: bool = True) -> MomentSet:
+def moments(rho1: np.ndarray, rho2: np.ndarray) -> MomentSet:
     """Moments of ``rho1 - rho2`` from the overlap expansion.
 
-    With ``cross_check`` every term is recomputed by direct matrix
-    products and the two routes must agree to 1e-10.
+    Every term is recomputed by direct matrix products and the two
+    routes must agree to 1e-10.
     """
-    o = overlap_set(rho1, rho2)
-    m = moments_from_overlaps(o)
-    if cross_check:
-        lam = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
-        p = lam
-        direct = []
-        for _ in range(3):
-            p = p @ lam
-            direct.append(float(p.trace().real))
-        worst = max(
-            abs(m.pi2 - direct[0]), abs(m.pi3 - direct[1]), abs(m.pi4 - direct[2])
-        )
-        if worst > 1e-10:
-            raise ValueError(f"overlap and matrix moment routes disagree by {worst:.3e}")
+    m = moments_from_overlaps(overlap_set(rho1, rho2))
+    lam = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
+    p = lam
+    direct = []
+    for _ in range(3):
+        p = p @ lam
+        direct.append(float(p.trace().real))
+    worst = max(abs(m.pi2 - direct[0]), abs(m.pi3 - direct[1]), abs(m.pi4 - direct[2]))
+    if worst > 1e-10:
+        raise ValueError(f"overlap and matrix moment routes disagree by {worst:.3e}")
     return m
+
+
+def characteristic_roots(pi2: float, pi3: float, pi4: float) -> np.ndarray:
+    """Roots of ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det`` with ``det = (Pi2^2/2 - Pi4)/4``.
+
+    For the moments of a traceless Hermitian 4x4 difference these are
+    its eigenvalues, up to the root finder's noise.
+    """
+    det = 0.25 * (0.5 * pi2 * pi2 - pi4)
+    return np.roots([1.0, 0.0, -0.5 * pi2, -pi3 / 3.0, det])
 
 
 def trace_distance_via_moments(m: MomentSet) -> float:
     """Trace distance from moments alone.
 
-    Solves the quartic ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det = 0`` with
-    ``det = (Pi2^2/2 - Pi4)/4`` and returns half the absolute sum of the
-    cleaned-up roots.  Cleanup: the true spectrum is real (moments of a
-    Hermitian difference), so spurious conjugate pairs — the root
-    finder's signature at degenerate eigenvalues — collapse onto their
-    shared real part.  Root sums are trace-accurate even where the
+    Returns half the absolute sum of the cleaned-up
+    :func:`characteristic_roots`.  Cleanup: the true spectrum is real
+    (moments of a Hermitian difference), so spurious conjugate pairs —
+    the root finder's signature at degenerate eigenvalues — collapse
+    onto their shared real part.  Root sums are trace-accurate even where the
     individual roots wobble, so the result keeps machine accuracy at
     double, triple and quadruple degeneracies.  Residues beyond
     ``ROOT_IMAG_TOL`` cannot come from a Hermitian difference; those
     raise instead of being silently flattened.
     """
-    det = 0.25 * (0.5 * m.pi2 * m.pi2 - m.pi4)
-    roots = np.roots([1.0, 0.0, -0.5 * m.pi2, -m.pi3 / 3.0, det])
+    roots = characteristic_roots(m.pi2, m.pi3, m.pi4)
     worst_imag = float(np.abs(roots.imag).max()) if roots.size else 0.0
     if worst_imag > ROOT_IMAG_TOL:
         raise ValueError(f"ill-conditioned moments: complex eigenvalue residue {worst_imag:.3e}")
@@ -341,21 +318,11 @@ def distances_from_overlaps(o: OverlapSet, m: MomentSet | None = None) -> Overla
     """``E, G, H, T`` from an :class:`OverlapSet` (and optionally its moments)."""
     if m is None:
         m = moments_from_overlaps(o)
-    e_rad = 2.0 * (o.O12 * o.O12 - o.O2_12)
-    g_rad = (1.0 - o.O11) * (1.0 - o.O22)
-    for name, rad in (("subfidelity", e_rad), ("superfidelity", g_rad)):
-        if rad < -1e-9:
-            raise ValueError(f"negative radicand {rad:.3e} in {name} from overlaps")
-    # zero radicands stuck in the noise band: they vanish identically at
-    # the pure-state equality cases, where sqrt would blow eps up to 1e-8
-    eps = float(np.finfo(float).eps)
-    if e_rad < 256.0 * eps * max(o.O12 * o.O12, abs(o.O2_12), eps):
-        e_rad = 0.0
-    if g_rad < 256.0 * eps * max(1.0 - o.O11, 1.0 - o.O22, eps):
-        g_rad = 0.0
+    e_rad, e_scale = 2.0 * (o.O12 * o.O12 - o.O2_12), max(o.O12 * o.O12, abs(o.O2_12))
+    g_rad, g_scale = (1.0 - o.O11) * (1.0 - o.O22), max(1.0 - o.O11, 1.0 - o.O22)
     return OverlapDistances(
-        subfidelity=o.O12 + float(np.sqrt(max(e_rad, 0.0))),
-        superfidelity=o.O12 + float(np.sqrt(max(g_rad, 0.0))),
+        subfidelity=o.O12 + guarded_sqrt(e_rad, "subfidelity from overlaps", e_scale, RADICAND_TOL),
+        superfidelity=o.O12 + guarded_sqrt(g_rad, "superfidelity from overlaps", g_scale, RADICAND_TOL),
         hilbert_schmidt=float(np.sqrt(max(m.pi2, 0.0))),
         trace_distance=trace_distance_via_moments(m),
     )

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The derivation battery is by far the most expensive thing the suite
-runs (about a minute and a half), so it is computed once per session and
-shared between the unit tests and the acceptance gate.
+runs (180-200 s on a 2-core host), so it is computed once per session
+and shared between the unit tests and the acceptance gate.
 """
 import json
 from pathlib import Path

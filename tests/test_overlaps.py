@@ -23,6 +23,12 @@ from qoverlap.overlaps import (
 )
 
 
+# Every word overlap_set evaluates.
+OVERLAP_SET_WORDS = [
+    "11", "22", "12", "111", "222", "112", "122", "1111", "2222", "1112", "1222", "1122", "1212"
+]
+
+
 def pairs(n, seed):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -52,15 +58,26 @@ class TestSecondOverlap:
         a, b = next(pairs(1, 3))
         assert overlap_second(a, b) == pytest.approx(overlap_second(b, a), abs=1e-12)
 
+    def test_one_value_on_every_route(self):
+        """overlap_second, the overlap set and the word 1212 are one float."""
+        for a, b in pairs(300, 17):
+            R1, R2 = to_correlation(a), to_correlation(b)
+            o = overlap_set(a, b)
+            assert {"11", "22", "12", *o.mixed} == set(OVERLAP_SET_WORDS)
+            assert overlap_second(R1, R2) == o.O2_12 == o.mixed["1212"]
+            assert word_overlap_bloch("1212", R1, R2) == o.O2_12
+
 
 class TestWordOverlaps:
-    @pytest.mark.parametrize("word", ["11", "12", "111", "112", "122", "1122", "1212", "1222"])
+    @pytest.mark.parametrize("word", OVERLAP_SET_WORDS)
     def test_bloch_equals_matrix(self, word):
-        a, b = next(pairs(1, 4))
-        R1, R2 = to_correlation(a), to_correlation(b)
-        assert word_overlap_bloch(word, R1, R2) == pytest.approx(
-            word_overlap_matrix(word, a, b), abs=1e-11
-        )
+        rng = np.random.default_rng(4)
+        for measure, rank in (("ginibre", None), ("pure", None), ("rank-constrained", 2)):
+            a, b = (random_state(4, measure, seed=rng, rank=rank) for _ in range(2))
+            R1, R2 = to_correlation(a), to_correlation(b)
+            assert word_overlap_bloch(word, R1, R2) == pytest.approx(
+                word_overlap_matrix(word, a, b), abs=1e-11
+            )
 
     def test_rejects_bad_word(self):
         a, b = next(pairs(1, 5))
@@ -106,14 +123,14 @@ class TestProductRule:
 class TestMoments:
     def test_cross_check_passes_on_random_pairs(self):
         for a, b in pairs(50, 10):
-            m = moments(a, b, cross_check=True)
+            m = moments(a, b)
             lam = a - b
             assert m.pi2 == pytest.approx(float(np.trace(lam @ lam).real), abs=1e-11)
 
     def test_identical_states_give_exact_zeros(self):
         """Bitwise-identical inputs must cancel exactly, not to 1e-16."""
         rho = random_state(4, seed=11)
-        m = moments(rho, rho, cross_check=False)
+        m = moments(rho, rho)
         assert m.pi2 == 0.0
         assert m.pi3 == 0.0
         assert m.pi4 == 0.0
