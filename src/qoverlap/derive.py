@@ -325,72 +325,70 @@ def _trace_tensor(k: int) -> np.ndarray:
     return np.einsum(f"{spec}->{up}", *([PAULI] * k))
 
 
-_KERNEL_CACHE: dict[int, tuple[list[tuple[tuple[int, int], ...]], np.ndarray]] = {}
+def _matching_gram(matchings: list[tuple[tuple[int, int], ...]], n: int) -> np.ndarray:
+    """Inner products of the matching tensors D_M on ``n`` slots of 4 values.
+
+    <D_a, D_b> is 4 to the number of components of the union of the two
+    matchings in which every slot is covered by both (the free index
+    groups); any other component is pinned to 0.  Built one row a at a
+    time for every b: a slot starts with its own number, or -1 when it is
+    pinned, and each slot takes the least value of its neighbours along
+    a's edges and then along b's.  A component is a path or cycle of at
+    most n slots whose edges alternate between the two matchings, so
+    n // 2 such rounds give every slot the least value of its component,
+    and a free component is one whose smallest slot still holds itself.
+    """
+    m = len(matchings)
+    slots = np.arange(n)
+    partner = np.tile(slots, (m, 1))
+    for b, M in enumerate(matchings):
+        for u, v in M:
+            partner[b, u], partner[b, v] = v, u
+    covered = partner != slots
+    flat_partner = (partner + n * np.arange(m)[:, None]).ravel()
+    G = np.empty((m, m))
+    for a in range(m):
+        label = np.where(covered[a] & covered, slots, -1)
+        for _ in range(n // 2):
+            label = np.minimum(label, label[:, partner[a]])
+            label = np.minimum(label, label.take(flat_partner).reshape(m, n))
+        G[a] = 4.0 ** (label == slots).sum(axis=1)
+    return G
 
 
+def _matching_indices(M: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, ...]:
+    """Index grid of the entries where D_M is 1: matched slots equal, the rest 0."""
+    values = np.indices((4,) * len(M)).reshape(len(M), 4 ** len(M))
+    idx = np.zeros((n, values.shape[1]), dtype=int)
+    for (u, v), val in zip(M, values):
+        idx[u] = idx[v] = val
+    return tuple(idx)
+
+
+@lru_cache(maxsize=None)
 def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
     """Coefficients c with Re(t_k x t_k) = sum_M c[M] * D_M.
 
     Slots 0..k-1 are the row word, k..2k-1 the column word.  D_M is 1
     where all matched slot pairs agree and every unmatched slot is 0.
-    The Gram system is solved in closed form (inner products of matching
-    tensors count the free index groups) and the expansion is verified
-    pointwise before being cached; for k = 4 the matching tensors are
-    linearly dependent and the minimum-norm solution is used.
+    The Gram system is solved in closed form (:func:`_matching_gram`) and
+    the expansion is verified pointwise; for k = 4 the matching tensors
+    are linearly dependent and the minimum-norm solution is used.
     """
-    if k in _KERNEL_CACHE:
-        return _KERNEL_CACHE[k]
     t = _trace_tensor(k)
     kern = np.multiply.outer(t, t).real
     n = 2 * k
     matchings = enumerate_matchings(list(range(n)))
-    m = len(matchings)
-    covered = [frozenset(s for e in M for s in e) for M in matchings]
-
-    G = np.empty((m, m))
-    for a, Ma in enumerate(matchings):
-        for b in range(a, m):
-            parent = list(range(n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for u, v in matchings[b] + Ma:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-            pinned = {find(s) for s in range(n) if s not in covered[a] or s not in covered[b]}
-            free = len({find(s) for s in range(n)}) - len(pinned)
-            G[a, b] = G[b, a] = 4.0 ** free
-
-    rhs = np.empty(m)
-    for a, M in enumerate(matchings):
-        total = 0.0
-        for values in np.ndindex(*(4,) * len(M)):
-            idx = [0] * n
-            for (u, v), val in zip(M, values):
-                idx[u] = idx[v] = val
-            total += kern[tuple(idx)]
-        rhs[a] = total
-
-    c, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+    rhs = np.array([kern[_matching_indices(M, n)].sum() for M in matchings])
+    c, *_ = np.linalg.lstsq(_matching_gram(matchings, n), rhs, rcond=None)
 
     approx = np.zeros_like(kern)
-    for a, M in enumerate(matchings):
-        if abs(c[a]) < 1e-12:
-            continue
-        for values in np.ndindex(*(4,) * len(M)):
-            idx = [0] * n
-            for (u, v), val in zip(M, values):
-                idx[u] = idx[v] = val
-            approx[tuple(idx)] += c[a]
+    for M, ca in zip(matchings, c):
+        if abs(ca) >= 1e-12:
+            approx[_matching_indices(M, n)] += ca
     err = float(np.abs(approx - kern).max())
     if err > 1e-9:
         raise RuntimeError(f"trace kernel expansion failed for k={k}: error {err:.3e}")
-    _KERNEL_CACHE[k] = (matchings, c)
     return matchings, c
 
 
@@ -410,6 +408,19 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
     k = len(word)
     matchings, c = _matching_kernel(k)
     layout = ModeLayout(tuple(word))
+
+    @lru_cache(maxsize=None)
+    def component_key(part: frozenset[tuple[int, int]]) -> tuple:
+        return MeasurementGraph(layout, part).canonical().key()
+
+    @lru_cache(maxsize=None)
+    def monomial(subset: frozenset[tuple[int, int]]) -> tuple[tuple, ...]:
+        parts = (
+            frozenset(e for e in subset if e[0] // 2 in comp)
+            for comp in connected_components(layout, subset)
+        )
+        return tuple(sorted(component_key(part) for part in parts))
+
     acc: dict[tuple[tuple, ...], float] = {}
     for a, M in enumerate(matchings):
         if abs(c[a]) < 1e-9:
@@ -422,13 +433,8 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
         n_edges = len(edges)
         prefactor = c[a] * 4.0 ** (n_edges - k)
         for r in range(n_edges + 1):
-            for chosen in combinations(range(n_edges), r):
-                subset = [edges[i] for i in chosen]
-                keys = []
-                for comp in connected_components(layout, subset):
-                    part = [e for e in subset if e[0] // 2 in comp]
-                    keys.append(MeasurementGraph(layout, part).canonical().key())
-                mono = tuple(sorted(keys))
+            for chosen in combinations(edges, r):
+                mono = monomial(frozenset(chosen))
                 acc[mono] = acc.get(mono, 0.0) + prefactor * (-1.0) ** r * 2.0 ** (r - n_edges)
     return {mono: v for mono, v in acc.items() if abs(v) > 1e-9}
 
@@ -461,8 +467,16 @@ _P2_RE = np.round(PAULI2.real).astype(int)
 _P2_IM = np.round(PAULI2.imag).astype(int)
 
 
-def _rational_state(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Random density matrix with exactly rational entries, as (re, im)."""
+class _Rational(NamedTuple):
+    """Exact complex matrix (re + i im) / den, entries Python integers."""
+
+    re: np.ndarray
+    im: np.ndarray
+    den: int
+
+
+def _rational_state(rng: np.random.Generator) -> _Rational:
+    """Random density matrix with exactly rational entries, over its trace."""
     while True:
         a = rng.integers(-2, 3, (4, 4))
         b = rng.integers(-2, 3, (4, 4))
@@ -471,35 +485,33 @@ def _rational_state(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         t = int(np.trace(re))
         if t > 0:
             break
-    frac = np.vectorize(lambda v: Fraction(int(v), t), otypes=[object])
-    return frac(re), frac(im)
+    return _Rational(re.astype(object), im.astype(object), t)
 
 
-#: Exact arithmetic on the (re, im) Fraction matrix pairs of :func:`_rational_state`.
+#: Exact arithmetic on the integer matrices of :func:`_rational_state`.
 EXACT = Arithmetic(
     one=Fraction(1),
-    identity=(np.eye(4, dtype=int).astype(object), np.zeros((4, 4), dtype=object)),
-    mul=lambda x, y: (x[0].dot(y[0]) - x[1].dot(y[1]), x[0].dot(y[1]) + x[1].dot(y[0])),
-    sub=lambda x, y: (x[0] - y[0], x[1] - y[1]),
-    trace=lambda x: Fraction(np.trace(x[0])),
+    identity=_Rational(np.eye(4, dtype=int).astype(object), np.zeros((4, 4), dtype=object), 1),
+    mul=lambda x, y: _Rational(
+        x.re.dot(y.re) - x.im.dot(y.im), x.re.dot(y.im) + x.im.dot(y.re), x.den * y.den
+    ),
+    sub=lambda x, y: _Rational(
+        x.re * y.den - y.re * x.den, x.im * y.den - y.im * x.den, x.den * y.den
+    ),
+    trace=lambda x: Fraction(int(np.trace(x.re)), x.den),
 )
 
 
-def _rat_correlation(rho) -> np.ndarray:
-    re, im = rho
-    R = np.empty((4, 4), dtype=object)
-    for m in range(4):
-        for n in range(4):
-            acc = Fraction(0)
-            for i in range(4):
-                for j in range(4):
-                    sr, si = _P2_RE[m, n, j, i], _P2_IM[m, n, j, i]
-                    if sr:
-                        acc += re[i, j] * sr
-                    if si:
-                        acc -= im[i, j] * si
-            R[m, n] = acc
-    return R
+def _rat_correlation(rho: _Rational) -> list[list[Fraction]]:
+    """Exact correlation matrix R[m, n] = Tr[rho sigma_m x sigma_n].
+
+    Its numerators over the trace are bounded by the trace, at most 128
+    for :func:`_rational_state`, so the integer contraction is exact in
+    int64.
+    """
+    re, im = rho.re.astype(np.int64), rho.im.astype(np.int64)
+    N = np.einsum("ij,mnji->mn", re, _P2_RE) - np.einsum("ij,mnji->mn", im, _P2_IM)
+    return [[Fraction(int(v), rho.den) for v in row] for row in N]
 
 
 def _rat_solve(A: list[list[Fraction]], y: list[Fraction]) -> list[Fraction] | None:
@@ -619,10 +631,34 @@ def _support_solve(A: np.ndarray, y: np.ndarray, support: list[int]) -> tuple[np
     return coef, resid
 
 
+def _r_factor(A: np.ndarray, y: np.ndarray, columns: list[int]) -> np.ndarray:
+    """R factor of ``[A[:, columns] y]``, for :func:`_factor_solve`."""
+    return np.linalg.qr(np.column_stack([A[:, columns], y]), mode="r")
+
+
+def _factor_solve(
+    A: np.ndarray, y: np.ndarray, R: np.ndarray, columns: list[int], keep: list[int]
+) -> tuple[np.ndarray, float]:
+    """:func:`_support_solve` on ``columns[keep]``, solved on R's columns.
+
+    ``R`` is the R factor of ``[A[:, columns] y]``.  That matrix is Q R
+    with orthonormal columns in Q, so every candidate c has
+    ||A_S c - y|| = ||R_S c - r_y||: the least-squares and minimum-norm
+    solutions are the same, on a system with |columns| + 1 rows instead
+    of A's.  The rank cutoff is the one lstsq gives the full system, and
+    the residual is the largest over every row of A.
+    """
+    coef, *_ = np.linalg.lstsq(R[:, keep], R[:, -1], rcond=np.finfo(float).eps * max(A.shape))
+    support = [columns[p] for p in keep]
+    return coef, float(np.abs(A[:, support] @ coef - y).max())
+
+
 def _omp(A: np.ndarray, y: np.ndarray, max_support: int = 80) -> list[int]:
     """Orthogonal matching pursuit with deterministic tie-breaking."""
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
+    columns = list(range(A.shape[1]))
+    R = _r_factor(A, y, columns)
     support: list[int] = []
     residual = y.copy()
     for _ in range(max_support):
@@ -630,7 +666,7 @@ def _omp(A: np.ndarray, y: np.ndarray, max_support: int = 80) -> list[int]:
         scores[support] = -1.0
         j = int(np.argmax(scores))
         support.append(j)
-        coef, res = _support_solve(A, y, support)
+        coef, res = _factor_solve(A, y, R, columns, support)
         residual = y - A[:, support] @ coef
         if res < FIT_TOL:
             break
@@ -648,9 +684,12 @@ def _prune(
 
     With ``prefer`` set, monomials touching graph classes outside that
     set are tried first, steering the surviving support toward reuse of
-    an already-required class set.  Scan order is deterministic.
+    an already-required class set.  Scan order is deterministic.  The
+    system is factored once (:func:`_factor_solve`); a removal only
+    re-triangularizes the small factor.
     """
     support = list(support)
+    R = _r_factor(A, y, support)
 
     def outside(col: int) -> int:
         if prefer is None or basis is None:
@@ -660,16 +699,17 @@ def _prune(
     changed = True
     while changed:
         changed = False
-        coef, _ = _support_solve(A, y, support)
+        coef, _ = _factor_solve(A, y, R, support, list(range(len(support))))
         weight = dict(zip(support, np.abs(coef)))
         order = sorted(range(len(support)), key=lambda p: (-outside(support[p]), weight[support[p]], p))
         for pos in order:
-            trial = support[:pos] + support[pos + 1 :]
-            if not trial:
+            keep = [p for p in range(len(support)) if p != pos]
+            if not keep:
                 continue
-            _, res = _support_solve(A, y, trial)
+            _, res = _factor_solve(A, y, R, support, keep)
             if res < FIT_TOL:
-                support = trial
+                support = [support[p] for p in keep]
+                R = np.linalg.qr(R[:, keep + [-1]], mode="r")
                 changed = True
                 break
     return support
@@ -684,21 +724,20 @@ def _avoid_classes(
     on the monomials that never mention it.  Feasibility is algebraic
     (the residual either stays at solver noise or jumps by orders of
     magnitude), so the rarest-class-first scan is stable across sample
-    ensembles.
+    ensembles.  The column set only shrinks, so the system is factored
+    once, as in :func:`_prune`.
     """
     usage = Counter(i for mono in basis.monomials for i in set(mono))
     outside = sorted(set(usage) - keep, key=lambda i: (usage[i], i))
-    banned: set[int] = set()
-
-    def columns(av: set[int]) -> list[int]:
-        return [k for k, mono in enumerate(basis.monomials) if not (set(mono) & av)]
-
+    columns = list(range(basis.n_monomials))
+    R = _r_factor(A, y, columns)
     for cls in outside:
-        trial = banned | {cls}
-        _, res = _support_solve(A, y, columns(trial))
+        trial = [p for p, k in enumerate(columns) if cls not in basis.monomials[k]]
+        _, res = _factor_solve(A, y, R, columns, trial)
         if res < FIT_TOL:
-            banned = trial
-    return columns(banned)
+            columns = [columns[p] for p in trial]
+            R = np.linalg.qr(R[:, trial + [-1]], mode="r")
+    return columns
 
 
 def fit_coefficients(

@@ -10,9 +10,10 @@ combinatorial counts behind the class bookkeeping.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -152,8 +153,6 @@ def enumerate_matchings(modes: list[int]) -> list[tuple[tuple[int, int], ...]]:
 
 def count_matchings(n_modes: int) -> int:
     """Closed-form matching count: ``sum_k C(n, 2k) (2k-1)!!`` including empty."""
-    import math
-
     total = 0
     for k in range(n_modes // 2 + 1):
         dfact = 1
@@ -309,30 +308,42 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
     return np.einsum(spec, *operands, optimize=True) / 4.0**graph.n_edges
 
 
+def _numerators(R) -> tuple[np.ndarray, int]:
+    """Integer numerators of a rational 4x4 matrix over its least common denominator."""
+    den = math.lcm(*(v.denominator for row in R for v in row))
+    return np.array([[v.numerator * (den // v.denominator) for v in row] for row in R]), den
+
+
 def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
     """Exact rational graph probability from rational correlation matrices.
 
     ``R1``/``R2`` are 4x4 nested sequences of :class:`fractions.Fraction`.
+    Each is written as integer numerators over a common denominator, the
+    contraction of :func:`probability_batch` runs on those integers, and
+    the result is one fraction.  The integers are int64 while no partial
+    sum can reach 2**63, and Python integers otherwise.
     """
     if not graph.edges:
         return Fraction(1)
-    factors = _copy_factors(graph)
-    eta = (1, -1, -1, -1)
-    total = Fraction(0)
-    for idx in product(range(4), repeat=graph.n_edges):
-        sign = 1
-        for i in idx:
-            sign *= eta[i]
-        term = Fraction(sign)
-        for c, ea, eb in factors:
-            R = R1 if graph.layout.copies[c] == 1 else R2
-            row = idx[ea] if ea is not None else 0
-            col = idx[eb] if eb is not None else 0
-            term *= R[row][col]
-            if term == 0:
-                break
-        total += term
-    return total / 4**graph.n_edges
+    spec, copy_plan = _einsum_recipe(graph)
+    exact = {1: _numerators(R1), 2: _numerators(R2)}
+    denominator = bound = 4**graph.n_edges
+    for sid, _ in copy_plan:
+        N, den = exact[sid]
+        denominator *= den
+        bound *= max(int(np.abs(N).max()), 1)
+    dtype = np.int64 if bound < 2**63 else object
+    operands = [np.array([1, -1, -1, -1], dtype=dtype)] * graph.n_edges
+    for sid, kind in copy_plan:
+        N = exact[sid][0].astype(dtype)[None]
+        if kind == "a":
+            N = N[:, :, 0]
+        elif kind == "b":
+            N = N[:, 0, :]
+        elif kind == "d":
+            N = N.diagonal(axis1=1, axis2=2)
+        operands.append(N)
+    return Fraction(int(np.einsum(spec, *operands)[0]), denominator)
 
 
 # ---------------------------------------------------------------------------

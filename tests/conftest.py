@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The derivation battery is by far the most expensive thing the suite
-runs (180-200 s on a 2-core host), so it is computed once per session
+runs (70-80 s on a 2-core host), so it is computed once per session
 and shared between the unit tests and the acceptance gate.
 """
 import json

@@ -1,16 +1,28 @@
 """Recovering the graph-probability representations and their counts."""
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qoverlap.core import random_state, to_correlation
+from qoverlap.core import PAULI2, random_state, to_correlation
 from qoverlap.derive import (
+    EXACT,
     TARGETS,
+    _closed_form_support,
+    _design_context,
+    _matching_gram,
+    _matching_kernel,
+    _prune,
+    _rat_correlation,
+    _rational_state,
+    _symbolic_support,
     build_basis,
     fit_coefficients,
     verify_table_claims,
 )
+from qoverlap.graphs import probability_exact
 
 
 def fresh_ensemble(n, seed):
@@ -107,6 +119,156 @@ class TestStandaloneFits:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             fit_coefficients("pi2", build_basis(2), samples=100)
+
+
+def reference_prune(A, y, support, basis=None, prefer=None):
+    """The plain prune: every trial is a least-squares solve on all rows of A."""
+    support = list(support)
+
+    def solve(cols):
+        coef, *_ = np.linalg.lstsq(A[:, cols], y, rcond=None)
+        return coef, float(np.abs(A[:, cols] @ coef - y).max())
+
+    def outside(col):
+        return 0 if prefer is None else len(set(basis.monomials[col]) - prefer)
+
+    changed = True
+    while changed:
+        changed = False
+        weight = dict(zip(support, np.abs(solve(support)[0])))
+        order = sorted(range(len(support)), key=lambda p: (-outside(support[p]), weight[support[p]], p))
+        for pos in order:
+            trial = support[:pos] + support[pos + 1 :]
+            if trial and solve(trial)[1] < 1e-9:
+                support = trial
+                changed = True
+                break
+    return support
+
+
+def union_find_gram(matchings, n):
+    """<D_a, D_b> = 4 ** (components of a + b whose slots both cover), by union-find."""
+    G = np.empty((len(matchings), len(matchings)))
+    for a, Ma in enumerate(matchings):
+        for b, Mb in enumerate(matchings):
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for u, v in Ma + Mb:
+                parent[find(u)] = find(v)
+            both = {s for e in Ma for s in e} & {s for e in Mb for s in e}
+            pinned = {find(s) for s in range(n) if s not in both}
+            G[a, b] = 4.0 ** len({find(s) for s in range(n)} - pinned)
+    return G
+
+
+def fraction_correlation(rho):
+    """Tr[rho sigma_m x sigma_n] summed term by term in fractions."""
+    re = [[Fraction(int(v), rho.den) for v in row] for row in rho.re]
+    im = [[Fraction(int(v), rho.den) for v in row] for row in rho.im]
+    P_re, P_im = np.round(PAULI2.real).astype(int), np.round(PAULI2.imag).astype(int)
+    return [
+        [
+            sum(re[i][j] * int(P_re[m, n, j, i]) - im[i][j] * int(P_im[m, n, j, i])
+                for i in range(4) for j in range(4))
+            for n in range(4)
+        ]
+        for m in range(4)
+    ]
+
+
+def fraction_probability(graph, R1, R2):
+    """4**-|E| sum over edge indices of prod ETA * prod copy entries, in fractions."""
+    total = Fraction(0)
+    for idx in product(range(4), repeat=graph.n_edges):
+        term = Fraction((-1) ** sum(i > 0 for i in idx))
+        for c in range(graph.n_copies):
+            row = col = 0
+            for k, edge in enumerate(graph.edges):
+                row = idx[k] if 2 * c in edge else row
+                col = idx[k] if 2 * c + 1 in edge else col
+            term *= (R1 if graph.layout.copies[c] == 1 else R2)[row][col]
+        total += term
+    return total / 4**graph.n_edges
+
+
+@lru_cache(maxsize=None)
+def design(copies):
+    """A basis and its design matrix on the fit ensemble at seed 42."""
+    basis = build_basis(copies)
+    A, rhos1, rhos2, *_ = _design_context(basis, {2: 600, 4: 1400}[copies], 42)
+    return basis, A, rhos1, rhos2
+
+
+class TestCompressedSolves:
+    """The fast derivation paths against plain references written here."""
+
+    @pytest.mark.parametrize(
+        "copies, target, extra, prefer_target",
+        [
+            (2, "pi2", range(60), None),
+            (4, "w1112", (), None),
+            (4, "w2222", (), None),
+            (4, "w2222", (), "pi2"),
+        ],
+    )
+    def test_prune_matches_full_system_prune(self, copies, target, extra, prefer_target):
+        basis, A, rhos1, rhos2 = design(copies)
+        y = np.array([TARGETS[target](a, b) for a, b in zip(rhos1, rhos2)])
+        support = sorted(set(_symbolic_support(target, basis)) | set(extra))
+        prefer = None
+        if prefer_target:
+            two = build_basis(2)
+            classes = two.classes(_closed_form_support(prefer_target, two))
+            prefer = frozenset(basis.index_of_graph(two.graphs[i]) for i in classes)
+        got = _prune(A, y, support, basis, prefer)
+        assert got == reference_prune(A, y, support, basis, prefer)
+        assert len(got) < len(support)
+        if prefer:  # the preferred classes steer the result away from the plain prune
+            assert sorted(got) != sorted(_prune(A, y, support))
+
+    def test_gram_matrix_matches_union_find(self):
+        matchings, _ = _matching_kernel(3)
+        assert len(matchings) == 76
+        G = _matching_gram(matchings, 6)
+        assert np.array_equal(G, union_find_gram(matchings, 6))
+
+    def test_integer_probabilities_match_fraction_reference(self):
+        basis = design(4)[0]
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            q1, q2 = _rational_state(rng), _rational_state(rng)
+            R1, R2 = _rat_correlation(q1), _rat_correlation(q2)
+            assert R1 == fraction_correlation(q1) and R2 == fraction_correlation(q2)
+            for g in basis.graphs:
+                assert probability_exact(g, R1, R2) == fraction_probability(g, R1, R2), str(g)
+
+    def test_large_numerators_stay_exact(self):
+        """Past the int64 bound the contraction runs in Python integers."""
+        basis = design(4)[0]
+        rng = np.random.default_rng(13)
+        q1, q2 = _rational_state(rng), _rational_state(rng)
+        tiny = Fraction(1, 10**15 + 37)
+        R1 = [[v + tiny for v in row] for row in _rat_correlation(q1)]
+        R2 = [[v - tiny for v in row] for row in _rat_correlation(q2)]
+        four_edges = [g for g in basis.graphs if g.n_edges == 4][:12]
+        assert four_edges
+        for g in four_edges:
+            assert probability_exact(g, R1, R2) == fraction_probability(g, R1, R2), str(g)
+
+    def test_exact_targets_match_floats(self):
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            q1, q2 = _rational_state(rng), _rational_state(rng)
+            rho1, rho2 = ((q.re + 1j * q.im).astype(complex) / q.den for q in (q1, q2))
+            for name, target in TARGETS.items():
+                exact = target(q1, q2, EXACT)
+                assert isinstance(exact, Fraction), name
+                assert float(exact) == pytest.approx(target(rho1, rho2), abs=1e-12), name
 
 
 class TestBattery:
