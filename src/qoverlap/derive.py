@@ -653,26 +653,6 @@ def _factor_solve(
     return coef, float(np.abs(A[:, support] @ coef - y).max())
 
 
-def _omp(A: np.ndarray, y: np.ndarray, max_support: int = 80) -> list[int]:
-    """Orthogonal matching pursuit with deterministic tie-breaking."""
-    norms = np.linalg.norm(A, axis=0)
-    norms[norms == 0] = 1.0
-    columns = list(range(A.shape[1]))
-    R = _r_factor(A, y, columns)
-    support: list[int] = []
-    residual = y.copy()
-    for _ in range(max_support):
-        scores = np.abs(A.T @ residual) / norms
-        scores[support] = -1.0
-        j = int(np.argmax(scores))
-        support.append(j)
-        coef, res = _factor_solve(A, y, R, columns, support)
-        residual = y - A[:, support] @ coef
-        if res < FIT_TOL:
-            break
-    return support
-
-
 def _prune(
     A: np.ndarray,
     y: np.ndarray,
@@ -751,11 +731,12 @@ def fit_coefficients(
 
     Random Ginibre state pairs give an overdetermined linear system for
     the monomial coefficients.  Candidate supports come from the closed
-    forms (first-order overlaps), from the Pauli-trace-kernel expansion,
-    and as a fallback from matching pursuit; each is pruned to a locally
-    minimal support.  The monomials are linearly dependent on the
-    four-copy basis, so solutions are non-unique and flagged as such; the
-    candidate with the fewest distinct graph classes wins.  With
+    forms (first-order overlaps) and from the Pauli-trace-kernel
+    expansion; each that fits exactly is pruned to a locally minimal
+    support, and a target with no such seed raises :class:`ResidualError`.
+    The monomials are linearly dependent on the four-copy basis, so
+    solutions are non-unique and flagged as such; the candidate with the
+    fewest distinct graph classes wins.  With
     ``prefer_classes`` the search additionally bans classes outside that
     set whenever a representation survives without them (used to keep
     the moment workflows on a shared class set).  Coefficients within
@@ -788,16 +769,11 @@ def fit_coefficients(
         if res < FIT_TOL:
             candidates.append(_prune(A, y, seeded, basis, prefer_classes))
     if not candidates:
-        omp_support = _prune(A, y, sorted(_omp(A, y)), basis, prefer_classes)
-        _, omp_res = _support_solve(A, y, omp_support)
-        best_res = min(best_res, omp_res)
-        if omp_res < FIT_TOL:
-            candidates.append(omp_support)
-    if not candidates:
-        raise ResidualError(
-            f"no representation of {target!r} on this basis: "
-            f"best support residual {best_res:.3e} exceeds {FIT_TOL}"
-        )
+        if np.isinf(best_res):
+            tried = "no seed applies"
+        else:
+            tried = f"best seeded residual {best_res:.3e} exceeds {FIT_TOL}"
+        raise ResidualError(f"no candidate support found for {target!r} on this basis ({tried})")
 
     def classes_outside(s: list[int]) -> int:
         if prefer_classes is None:

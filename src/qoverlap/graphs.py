@@ -281,6 +281,21 @@ def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, list[tuple[int, str]]]
     return spec, copy_plan
 
 
+def _copy_operands(copy_plan: list[tuple[int, str]], R1s: np.ndarray, R2s: np.ndarray) -> list[np.ndarray]:
+    """Per touched copy, its state's batch of matrices sliced as the copy plan says."""
+    operands = []
+    for sid, kind in copy_plan:
+        R = R1s if sid == 1 else R2s
+        if kind == "a":
+            R = R[:, :, 0]
+        elif kind == "b":
+            R = R[:, 0, :]
+        elif kind == "d":  # within-copy edge
+            R = np.einsum("sii->si", R)
+        operands.append(R)
+    return operands
+
+
 def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
     """Graph probabilities for a batch of correlation-matrix pairs.
 
@@ -294,17 +309,7 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
     if not graph.edges:
         return np.ones(R1s.shape[0])
     spec, copy_plan = _einsum_recipe(graph)
-    operands: list[np.ndarray] = [ETA] * graph.n_edges
-    for sid, kind in copy_plan:
-        R = R1s if sid == 1 else R2s
-        if kind == "ab":
-            operands.append(R)
-        elif kind == "a":
-            operands.append(R[:, :, 0])
-        elif kind == "b":
-            operands.append(R[:, 0, :])
-        else:  # diagonal: within-copy edge
-            operands.append(np.einsum("sii->si", R))
+    operands = [ETA] * graph.n_edges + _copy_operands(copy_plan, R1s, R2s)
     return np.einsum(spec, *operands, optimize=True) / 4.0**graph.n_edges
 
 
@@ -333,16 +338,9 @@ def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
         denominator *= den
         bound *= max(int(np.abs(N).max()), 1)
     dtype = np.int64 if bound < 2**63 else object
+    N1, N2 = (exact[sid][0].astype(dtype)[None] for sid in (1, 2))
     operands = [np.array([1, -1, -1, -1], dtype=dtype)] * graph.n_edges
-    for sid, kind in copy_plan:
-        N = exact[sid][0].astype(dtype)[None]
-        if kind == "a":
-            N = N[:, :, 0]
-        elif kind == "b":
-            N = N[:, 0, :]
-        elif kind == "d":
-            N = N.diagonal(axis1=1, axis2=2)
-        operands.append(N)
+    operands += _copy_operands(copy_plan, N1, N2)
     return Fraction(int(np.einsum(spec, *operands)[0]), denominator)
 
 

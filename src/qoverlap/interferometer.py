@@ -3,10 +3,13 @@
 A measurement graph is realized by preparing its copies and jointly
 measuring the two-outcome observable {P-, 1-P-} on every edge; the
 all-singlet coincidence frequency estimates the graph probability.  One
-prepared configuration yields the joint outcome pattern of all its
-edges, so every sub-graph statistic comes out of the same counts — the
-simulation draws those patterns multinomially from the exact joint
-distribution and propagates shot noise through the distance formulas.
+prepared configuration member yields the joint outcome pattern of all its
+edges, so every sub-graph statistic comes out of the same counts.  The
+simulation computes each member's exact pattern distribution with one
+contraction that carries an outcome axis per edge, draws the patterns
+multinomially, reads every sub-graph frequency and covariance off one
+superset sum of the counts, and propagates shot noise through the
+distance formulas.
 
 A "photon pair" is one two-qubit copy; hardware-level boson statistics
 are out of scope (the antibunching event is abstracted to the singlet
@@ -16,25 +19,23 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .core import __version__, ModeLayout, assemble, to_correlation
-from .graphs import MeasurementGraph, probability_batch
+from .core import __version__, assemble, to_correlation
+from .graphs import ETA, MeasurementGraph, _copy_operands, _einsum_recipe, probability_batch
 from .oracle import distance_set, trace_distance, hilbert_schmidt, sub_super_fidelity
 from .overlaps import P_MINUS, characteristic_roots
 
 __all__ = [
-    "GraphOutcome",
     "Configuration",
     "ConfigurationPlan",
     "EstimationReport",
     "PlanError",
     "graph_probability",
     "pattern_distribution",
-    "sample_graph",
-    "v_observable_sample",
     "find_embedding",
     "plan_configurations",
     "estimate_distances",
@@ -51,7 +52,7 @@ class PlanError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Single-graph probabilities, dense cross-check, sampling
+# Single-graph probabilities, dense cross-check, joint patterns
 # ---------------------------------------------------------------------------
 
 
@@ -100,32 +101,55 @@ def graph_probability(
     return float(val.real)
 
 
+#: Edge factor per outcome, row 0 "not antibunched", row 1 "antibunched":
+#: ``1 - P^- = (1/4) sum_i (4 delta_i0 - ETA[i]) sigma_i x sigma_i``.
+_OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
+
+
+@lru_cache(maxsize=None)
+def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, list, list]:
+    """Subscripts, copy plan and einsum path of a graph's pattern contraction.
+
+    :func:`_einsum_recipe`'s subscripts with an outcome axis added to
+    every edge factor; the outputs list edge E-1 first, so the flattened
+    result is indexed by edge bitmask.  Planned once per graph.
+    """
+    spec, copy_plan = _einsum_recipe(graph)
+    subs = spec.split("->")[0].split(",")
+    outcomes = "ABCDEFGH"[: graph.n_edges]
+    edge_subs = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])]
+    spec = ",".join(edge_subs + subs[graph.n_edges :]) + "->s" + outcomes[::-1]
+    shapes = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(
+        copy_plan, np.zeros((1, 4, 4)), np.zeros((1, 4, 4))
+    )
+    path, _ = np.einsum_path(spec, *shapes, optimize="greedy")
+    return spec, copy_plan, path
+
+
+def _superset_sums(v: np.ndarray) -> np.ndarray:
+    """``out[m] = sum of v[p] over every bitmask p containing m`` (zeta transform)."""
+    out = np.array(v)
+    half = 1
+    while half < out.size:
+        pairs = out.reshape(-1, 2, half)
+        pairs[:, 0] += pairs[:, 1]
+        half *= 2
+    return out
+
+
 def pattern_distribution(
     graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint outcome distribution of the V observables on every edge.
 
     Returns ``(subset_probs, pattern_probs)``, both indexed by edge
-    bitmask: ``subset_probs[m]`` is the probability that at least the
-    edges in ``m`` antibunch, ``pattern_probs[m]`` that exactly they do
-    (inclusion-exclusion of the former).
+    bitmask: ``pattern_probs[m]`` is the probability that exactly the
+    edges in ``m`` antibunch, one contraction over the graph's copies;
+    ``subset_probs[m]``, its superset sum, that at least they do.
     """
-    E = graph.n_edges
-    subset_probs = np.empty(2**E)
-    for mask in range(2**E):
-        edges = [graph.edges[k] for k in range(E) if mask >> k & 1]
-        sub = MeasurementGraph(graph.layout, edges)
-        subset_probs[mask] = probability_batch(sub, R1[None], R2[None])[0]
-    pattern = np.zeros(2**E)
-    for mask in range(2**E):
-        zeros = [k for k in range(E) if not (mask >> k & 1)]
-        for sub in range(2 ** len(zeros)):
-            extra = 0
-            for b, k in enumerate(zeros):
-                if sub >> b & 1:
-                    extra |= 1 << k
-            sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            pattern[mask] += sign * subset_probs[mask | extra]
+    spec, copy_plan, path = _pattern_contraction(graph)
+    operands = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
+    pattern = np.einsum(spec, *operands, optimize=path).reshape(-1) / 4.0**graph.n_edges
     if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
         raise ValueError(
             f"joint pattern distribution invalid: min {pattern.min():.3e}, "
@@ -133,56 +157,7 @@ def pattern_distribution(
         )
     pattern = np.clip(pattern, 0.0, None)
     pattern /= pattern.sum()
-    return subset_probs, pattern
-
-
-@dataclass(frozen=True)
-class GraphOutcome:
-    """Binomial estimate of one graph probability."""
-
-    probability: float
-    shots: int
-    successes: int
-
-    @property
-    def estimate(self) -> float:
-        return self.successes / self.shots
-
-    @property
-    def std_err(self) -> float:
-        p = self.estimate
-        return float(np.sqrt(max(p * (1.0 - p), 1.0 / self.shots) / self.shots))
-
-
-def sample_graph(
-    graph: MeasurementGraph,
-    rho1: np.ndarray,
-    rho2: np.ndarray,
-    shots: int,
-    seed: int | np.random.Generator = 42,
-) -> GraphOutcome:
-    """Draw the all-edges coincidence count for one graph."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p = graph_probability(graph, rho1, rho2)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"graph probability {p} outside [0,1]")
-    k = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
-    return GraphOutcome(probability=p, shots=shots, successes=k)
-
-
-def v_observable_sample(
-    graph: MeasurementGraph,
-    rho1: np.ndarray,
-    rho2: np.ndarray,
-    shots: int,
-    seed: int | np.random.Generator = 42,
-) -> np.ndarray:
-    """Joint V-outcome counts over all edge patterns (indexed by bitmask)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    R1 = to_correlation(np.asarray(rho1, dtype=complex))
-    R2 = to_correlation(np.asarray(rho2, dtype=complex))
-    _, pattern = pattern_distribution(graph, R1, R2)
-    return rng.multinomial(shots, pattern)
+    return _superset_sums(pattern), pattern
 
 
 # ---------------------------------------------------------------------------
@@ -383,34 +358,26 @@ def _graph_estimates(plan, counts, shots):
     independent by construction.
     """
     keys = [g.key() for g in plan.graphs]
-    masks = {}
-    for key in keys:
+    hosted: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, key in enumerate(keys):
         ci, mi, emb = plan.hosts[key]
-        mask = 0
-        for k in emb:
-            mask |= 1 << k
-        masks[key] = (ci, mi, mask)
+        hosted.setdefault((ci, mi), []).append((a, sum(1 << k for k in emb)))
 
-    def freq(ci, mi, mask):
-        c = counts[(ci, mi)]
-        total = 0
-        for pat in range(c.size):
-            if pat & mask == mask:
-                total += c[pat]
-        return total / shots
-
-    phat = {key: freq(*masks[key]) for key in keys}
-    n = len(keys)
-    cov = np.zeros((n, n))
-    for a in range(n):
-        ca, ma, mka = masks[keys[a]]
-        for b in range(a, n):
-            cb, mb, mkb = masks[keys[b]]
-            if (ca, ma) != (cb, mb):
-                continue
-            p_union = freq(ca, ma, mka | mkb)
-            cov[a, b] = cov[b, a] = (p_union - phat[keys[a]] * phat[keys[b]]) / shots
+    phat = {}
+    cov = np.zeros((len(keys), len(keys)))
+    for member, graphs in hosted.items():
+        at_least = _superset_sums(counts[member])
+        idx, masks = (np.array(col) for col in zip(*graphs))
+        p = at_least[masks] / shots
+        p_union = at_least[masks[:, None] | masks[None, :]] / shots
+        cov[np.ix_(idx, idx)] = (p_union - np.outer(p, p)) / shots
+        phat.update(zip((keys[a] for a in idx), p))
     return keys, phat, cov
+
+
+@lru_cache(maxsize=None)
+def _canonical_key(graph: MeasurementGraph) -> tuple:
+    return graph.canonical().key()
 
 
 def _stat_values(forms, keys, phat, cov):
@@ -425,7 +392,7 @@ def _stat_values(forms, keys, phat, cov):
     J = np.zeros((len(names), len(keys)))
     for si, name in enumerate(names):
         for coeff, graphs in forms[name]:
-            gkeys = [g.canonical().key() for g in graphs]
+            gkeys = [_canonical_key(g) for g in graphs]
             for key in gkeys:
                 if key not in index:
                     raise PlanError(
@@ -505,15 +472,9 @@ def estimate_distances(
     names, values, C = _stat_values(forms, keys, phat, cov)
     stat = dict(zip(names, values))
 
-    lam = rho1 - rho2
-    stat_oracle = {
-        "o11": float(np.trace(rho1 @ rho1).real),
-        "o22": float(np.trace(rho2 @ rho2).real),
-        "o12": float(np.trace(rho1 @ rho2).real),
-        "o2": float(np.trace(np.linalg.matrix_power(rho1 @ rho2, 2)).real),
-        "pi3": float(np.trace(np.linalg.matrix_power(lam, 3)).real),
-        "pi4": float(np.trace(np.linalg.matrix_power(lam, 4)).real),
-    }
+    from .derive import TARGETS  # derive imports this module at load time
+
+    stat_oracle = {n: TARGETS[n](rho1, rho2) for n in STAT_NAMES}
     statistics = tuple(
         StatRow(n, stat_oracle[n], float(v), float(np.sqrt(max(C[i, i], 0.0))))
         for i, (n, v) in enumerate(zip(names, values))

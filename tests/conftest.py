@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from qoverlap import derive_targets, plan_configurations
+from qoverlap.interferometer import STAT_NAMES
 
 STATES_DIR = Path(__file__).resolve().parent.parent / "states"
-
-STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 
 
 @pytest.fixture(scope="session")

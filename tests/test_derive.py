@@ -10,6 +10,7 @@ from qoverlap.core import PAULI2, random_state, to_correlation
 from qoverlap.derive import (
     EXACT,
     TARGETS,
+    ResidualError,
     _closed_form_support,
     _design_context,
     _matching_gram,
@@ -119,6 +120,11 @@ class TestStandaloneFits:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             fit_coefficients("pi2", build_basis(2), samples=100)
+
+    def test_target_without_seeded_support_raises(self):
+        """A four-factor word has no exact seed on the two-copy basis."""
+        with pytest.raises(ResidualError, match="no candidate support found for 'o2'"):
+            fit_coefficients("o2", build_basis(2), samples=600)
 
 
 def reference_prune(A, y, support, basis=None, prefer=None):

@@ -3,15 +3,14 @@ import pytest
 
 from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import pi2_form
-from qoverlap.graphs import MeasurementGraph
+from qoverlap.graphs import MeasurementGraph, probability_batch
 from qoverlap.interferometer import (
+    _graph_estimates,
     estimate_distances,
     find_embedding,
     graph_probability,
     pattern_distribution,
     plan_configurations,
-    sample_graph,
-    v_observable_sample,
 )
 
 
@@ -39,7 +38,62 @@ class TestGraphProbability:
             graph_probability(g, *pair, method="magic")
 
 
+def reference_pattern(graph, R1, R2):
+    """Every edge subset contracted on its own, then inclusion-exclusion."""
+    E = graph.n_edges
+    subset = np.array([
+        probability_batch(
+            MeasurementGraph(graph.layout, [graph.edges[k] for k in range(E) if m >> k & 1]),
+            R1[None],
+            R2[None],
+        )[0]
+        for m in range(2**E)
+    ])
+    pattern = np.array([
+        sum((-1) ** bin(extra).count("1") * subset[m | extra] for extra in range(2**E) if not extra & m)
+        for m in range(2**E)
+    ])
+    return subset, pattern
+
+
+def reference_graph_estimates(plan, counts, shots):
+    """Frequencies and within-member covariances by rescanning the counts."""
+    keys = [g.key() for g in plan.graphs]
+    hosts = {}
+    for key in keys:
+        ci, mi, emb = plan.hosts[key]
+        hosts[key] = ((ci, mi), sum(1 << k for k in emb))
+
+    def freq(member, mask):
+        c = counts[member]
+        return sum(c[pat] for pat in range(c.size) if pat & mask == mask) / shots
+
+    phat = {key: freq(*hosts[key]) for key in keys}
+    cov = np.zeros((len(keys), len(keys)))
+    for a, ka in enumerate(keys):
+        for b, kb in enumerate(keys):
+            (ma, mka), (mb, mkb) = hosts[ka], hosts[kb]
+            if ma == mb:
+                cov[a, b] = (freq(ma, mka | mkb) - phat[ka] * phat[kb]) / shots
+    return keys, phat, cov
+
+
 class TestPatternDistribution:
+    @pytest.mark.parametrize("ensemble", ["ginibre", "pure", "equal"])
+    def test_every_plan_member_matches_subset_reference(self, plan, ensemble):
+        rng = np.random.default_rng(21)
+        if ensemble == "equal":
+            rho1 = rho2 = random_state(4, seed=rng)
+        else:
+            rho1, rho2 = random_state(4, ensemble, rng), random_state(4, ensemble, rng)
+        R1, R2 = to_correlation(rho1), to_correlation(rho2)
+        for conf in plan.configurations:
+            for member in conf.members:
+                subset, pattern = pattern_distribution(member, R1, R2)
+                ref_subset, ref_pattern = reference_pattern(member, R1, R2)
+                assert np.abs(pattern - ref_pattern).max() < 1e-12, str(member)
+                assert np.abs(subset - ref_subset).max() < 1e-12, str(member)
+
     def test_patterns_sum_to_one(self, pair):
         R1, R2 = map(to_correlation, pair)
         g = MeasurementGraph(ModeLayout((1, 1, 2, 2)), [(0, 4), (1, 5), (2, 6)])
@@ -65,25 +119,20 @@ class TestPatternDistribution:
         assert subset[-1] == pytest.approx(graph_probability(g, *pair), abs=1e-11)
 
 
-class TestSampling:
-    def test_sample_graph_deterministic(self, pair):
-        g = MeasurementGraph(ModeLayout((1, 2)), [(0, 2)])
-        a = sample_graph(g, *pair, shots=5000, seed=3)
-        b = sample_graph(g, *pair, shots=5000, seed=3)
-        assert a.successes == b.successes
-        assert a.probability == pytest.approx(b.probability)
-
-    def test_sample_graph_concentrates(self, pair):
-        g = MeasurementGraph(ModeLayout((1, 2)), [(0, 2), (1, 3)])
-        out = sample_graph(g, *pair, shots=200000, seed=4)
-        sigma = np.sqrt(out.probability * (1 - out.probability) / out.shots)
-        assert out.successes / out.shots == pytest.approx(out.probability, abs=6 * sigma)
-
-    def test_v_observable_counts(self, pair):
-        g = MeasurementGraph(ModeLayout((1, 2, 1)), [(0, 2), (3, 4)])
-        counts = v_observable_sample(g, *pair, shots=4000, seed=5)
-        assert counts.sum() == 4000
-        assert counts.shape == (4,)
+class TestGraphEstimates:
+    def test_superset_sums_equal_rescan_exactly(self, plan):
+        rng = np.random.default_rng(22)
+        shots = 5000
+        counts = {
+            (ci, mi): rng.multinomial(shots, np.full(2**m.n_edges, 0.5**m.n_edges))
+            for ci, conf in enumerate(plan.configurations)
+            for mi, m in enumerate(conf.members)
+        }
+        keys, phat, cov = _graph_estimates(plan, counts, shots)
+        ref_keys, ref_phat, ref_cov = reference_graph_estimates(plan, counts, shots)
+        assert keys == ref_keys
+        assert phat == ref_phat
+        assert np.array_equal(cov, ref_cov)
 
 
 class TestPlanning:
