@@ -27,7 +27,7 @@ import numpy as np
 from .core import __version__, assemble, to_correlation
 from .graphs import ETA, MeasurementGraph, _copy_operands, _einsum_recipe, probability_batch
 from .oracle import distance_set, trace_distance, hilbert_schmidt, sub_super_fidelity
-from .overlaps import P_MINUS, characteristic_roots
+from .overlaps import P_MINUS, _quartic_coefficients, characteristic_roots
 
 __all__ = [
     "Configuration",
@@ -383,13 +383,15 @@ def _canonical_key(graph: MeasurementGraph) -> tuple:
 def _stat_values(forms, keys, phat, cov):
     """Delta-method values and covariance of the statistics vector.
 
-    Monomial products of graph estimates are used directly; their O(1/N)
-    multiplicative bias is accepted and documented.
+    Each monomial is one row of a factor-index matrix padded with an
+    index that reads 1.0; values and Jacobian entries are row products,
+    accumulated in monomial order.  Monomial products of graph estimates
+    are used directly; their O(1/N) multiplicative bias is accepted and
+    documented.
     """
     index = {key: i for i, key in enumerate(keys)}
     names = [n for n in STAT_NAMES if n in forms]
-    values = np.zeros(len(names))
-    J = np.zeros((len(names), len(keys)))
+    rows, coeffs, factors = [], [], []
     for si, name in enumerate(names):
         for coeff, graphs in forms[name]:
             gkeys = [_canonical_key(g) for g in graphs]
@@ -399,14 +401,19 @@ def _stat_values(forms, keys, phat, cov):
                         f"form {name!r} needs graph not in the measurement plan: "
                         f"{key}"
                     )
-            if not gkeys:
-                values[si] += coeff
-                continue
-            vals = np.array([phat[key] for key in gkeys])
-            values[si] += coeff * float(np.prod(vals))
-            for pos, key in enumerate(gkeys):
-                rest = float(np.prod(np.delete(vals, pos))) if len(vals) > 1 else 1.0
-                J[si, index[key]] += coeff * rest
+            rows.append(si)
+            coeffs.append(coeff)
+            factors.append([index[key] for key in gkeys])
+    one, width = len(keys), max(map(len, factors))
+    F = np.array([f + [one] * (width - len(f)) for f in factors], dtype=int)
+    rows, coeffs = np.array(rows), np.array(coeffs)
+    vals = np.append([phat[key] for key in keys], 1.0)[F]
+    values = np.bincount(rows, weights=coeffs * vals.prod(axis=1), minlength=len(names))
+    # product of the other factors: 1.0 in the factor's own slot
+    rest = np.where(np.eye(width, dtype=bool), 1.0, vals[:, None, :]).prod(axis=2)
+    m, k = np.nonzero(F < one)
+    J = np.zeros((len(names), len(keys)))
+    np.add.at(J, (rows[m], F[m, k]), coeffs[m] * rest[m, k])
     C = J @ cov @ J.T
     return names, values, C
 
@@ -435,6 +442,25 @@ def _lenient_trace_distance(pi2: float, pi3: float, pi4: float) -> float:
     return float(0.5 * np.abs(characteristic_roots(pi2, pi3, pi4).real).sum())
 
 
+def _bootstrap_trace_distances(draws: np.ndarray) -> np.ndarray:
+    """:func:`_lenient_trace_distance` of every ``(pi2, pi3, pi4)`` row, pi2 clipped at 0.
+
+    One eigensolve over all rows' companion matrices, built as
+    ``np.roots`` builds them.  ``np.roots`` deflates a zero constant
+    coefficient, so rows with ``det == 0`` (every draw for two equal
+    computational-basis states) take the scalar route.
+    """
+    pi2 = np.where(draws[:, 0] < 0.0, 0.0, draws[:, 0])
+    p = np.column_stack(np.broadcast_arrays(*_quartic_coefficients(pi2, draws[:, 1], draws[:, 2])))
+    companion = np.zeros((len(p), 4, 4))
+    companion[:, 1:, :3] = np.eye(3)
+    companion[:, 0] = -p[:, 1:] / p[:, :1]
+    t = 0.5 * np.abs(np.linalg.eigvals(companion).real).sum(axis=1)
+    for k in np.flatnonzero(p[:, -1] == 0.0):
+        t[k] = _lenient_trace_distance(pi2[k], draws[k, 1], draws[k, 2])
+    return t
+
+
 def estimate_distances(
     rho1: np.ndarray,
     rho2: np.ndarray,
@@ -453,10 +479,16 @@ def estimate_distances(
     form is measured through the configuration plan (built here unless
     one is supplied); statistic errors come from the delta method on the
     joint multinomial counts, and the trace-distance error from a
-    parametric bootstrap over the moment estimates.  The chain-inequality
+    parametric bootstrap over the moment estimates: ``bootstrap`` (at
+    least 2) normal draws whose quartics are solved together, one batched
+    eigensolve of their companion matrices.  The chain-inequality
     audit runs on the oracle values, where a violation indicates a bug
     rather than shot noise.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    if bootstrap < 2:
+        raise ValueError(f"bootstrap must be at least 2 draws for a spread, got {bootstrap}")
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     missing = [n for n in STAT_NAMES if n not in forms]
@@ -540,10 +572,7 @@ def estimate_distances(
     Cm = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     brng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
     draws = brng.multivariate_normal([pi2, pi3, pi4], Cm, size=bootstrap, method="eigh")
-    t_samples = [
-        _lenient_trace_distance(max(d[0], 0.0), d[1], d[2]) for d in draws
-    ]
-    t_err = float(np.std(t_samples, ddof=1))
+    t_err = float(np.std(_bootstrap_trace_distances(draws), ddof=1))
 
     ds = distance_set(rho1, rho2)
     moments_formula = (

@@ -267,14 +267,20 @@ def moments(rho1: np.ndarray, rho2: np.ndarray) -> MomentSet:
     return m
 
 
+def _quartic_coefficients(pi2, pi3, pi4) -> tuple:
+    """Coefficients, highest power first, of ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det``
+    with ``det = (Pi2^2/2 - Pi4)/4``; elementwise on arrays of moments."""
+    det = 0.25 * (0.5 * pi2 * pi2 - pi4)
+    return 1.0, 0.0, -0.5 * pi2, -pi3 / 3.0, det
+
+
 def characteristic_roots(pi2: float, pi3: float, pi4: float) -> np.ndarray:
-    """Roots of ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det`` with ``det = (Pi2^2/2 - Pi4)/4``.
+    """Roots of the quartic of :func:`_quartic_coefficients`.
 
     For the moments of a traceless Hermitian 4x4 difference these are
     its eigenvalues, up to the root finder's noise.
     """
-    det = 0.25 * (0.5 * pi2 * pi2 - pi4)
-    return np.roots([1.0, 0.0, -0.5 * pi2, -pi3 / 3.0, det])
+    return np.roots(_quartic_coefficients(pi2, pi3, pi4))
 
 
 def trace_distance_via_moments(m: MomentSet) -> float:

@@ -5,13 +5,20 @@ from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import pi2_form
 from qoverlap.graphs import MeasurementGraph, probability_batch
 from qoverlap.interferometer import (
+    STAT_NAMES,
+    PlanError,
+    _bootstrap_trace_distances,
+    _canonical_key,
     _graph_estimates,
+    _lenient_trace_distance,
+    _stat_values,
     estimate_distances,
     find_embedding,
     graph_probability,
     pattern_distribution,
     plan_configurations,
 )
+from qoverlap.overlaps import moments
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +142,124 @@ class TestGraphEstimates:
         assert np.array_equal(cov, ref_cov)
 
 
+def reference_stat_values(forms, keys, phat, cov):
+    """Per-monomial loop: one product, and one product per left-out factor."""
+    index = {key: i for i, key in enumerate(keys)}
+    names = [n for n in STAT_NAMES if n in forms]
+    values = np.zeros(len(names))
+    J = np.zeros((len(names), len(keys)))
+    for si, name in enumerate(names):
+        for coeff, graphs in forms[name]:
+            gkeys = [_canonical_key(g) for g in graphs]
+            if not gkeys:
+                values[si] += coeff
+                continue
+            vals = np.array([phat[key] for key in gkeys])
+            values[si] += coeff * float(np.prod(vals))
+            for pos, key in enumerate(gkeys):
+                rest = float(np.prod(np.delete(vals, pos))) if len(vals) > 1 else 1.0
+                J[si, index[key]] += coeff * rest
+    return names, values, J @ cov @ J.T
+
+
+def random_estimates(keys, rng):
+    phat = dict(zip(keys, rng.uniform(0.0, 1.0, len(keys))))
+    A = rng.normal(size=(len(keys), len(keys)))
+    return phat, A @ A.T / 1e4
+
+
+class TestStatValues:
+    def test_session_forms_equal_reference_loop(self, forms, plan):
+        keys = [g.key() for g in plan.graphs]
+        for seed in range(3):
+            phat, cov = random_estimates(keys, np.random.default_rng(seed))
+            names, values, C = _stat_values(forms, keys, phat, cov)
+            ref_names, ref_values, ref_C = reference_stat_values(forms, keys, phat, cov)
+            assert names == ref_names
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(C, ref_C)
+
+    def test_constant_single_and_repeated_factors(self):
+        lay = ModeLayout((1, 2))
+        g1 = MeasurementGraph(lay, [(0, 2)])
+        g2 = MeasurementGraph(lay, [(0, 2), (1, 3)])
+        forms = {
+            "o11": [(0.25, ()), (2.0, (g1,)), (-1.5, (g1, g1, g2))],
+            "pi3": [(1.0 / 3.0, (g2, g1)), (-0.75, ()), (0.5, (g2, g2, g2, g1))],
+        }
+        keys = [g1.canonical().key(), g2.canonical().key()]
+        phat, cov = random_estimates(keys, np.random.default_rng(4))
+        names, values, C = _stat_values(forms, keys, phat, cov)
+        ref_names, ref_values, ref_C = reference_stat_values(forms, keys, phat, cov)
+        assert names == ref_names == ["o11", "pi3"]
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(C, ref_C)
+
+    def test_plan_without_a_form_graph_names_the_statistic(self, forms, bell, mixed):
+        others = [g for n, form in forms.items() if n != "pi4" for _, gs in form for g in gs]
+        partial = plan_configurations(others)
+        with pytest.raises(PlanError, match="'pi4'"):
+            estimate_distances(bell, mixed, forms, shots=100, plan=partial)
+
+
+def reference_bootstrap(draws):
+    """One scalar quartic solve per draw."""
+    return np.array([_lenient_trace_distance(max(d[0], 0.0), d[1], d[2]) for d in draws])
+
+
+def moment_draws(mean, cov, seed, n=200):
+    return np.random.default_rng(seed).multivariate_normal(mean, cov, size=n, method="eigh")
+
+
+class TestBootstrap:
+    def test_ginibre_pair_equals_per_draw_loop(self):
+        rng = np.random.default_rng(30)
+        m = moments(random_state(4, seed=rng), random_state(4, seed=rng))
+        A = rng.normal(size=(3, 3)) * 1e-3
+        draws = moment_draws([m.pi2, m.pi3, m.pi4], A @ A.T, 31)
+        assert np.array_equal(_bootstrap_trace_distances(draws), reference_bootstrap(draws))
+
+    def test_equal_pair_clips_negative_pi2(self):
+        rho = random_state(4, seed=32)
+        m = moments(rho, rho)
+        draws = moment_draws([m.pi2, m.pi3, m.pi4], np.diag([1e-6, 1e-9, 1e-10]), 33)
+        assert (draws[:, 0] < 0).sum() > 50
+        assert np.array_equal(_bootstrap_trace_distances(draws), reference_bootstrap(draws))
+
+    def test_rank_deficient_covariance(self):
+        rng = np.random.default_rng(34)
+        m = moments(random_state(4, seed=rng), random_state(4, seed=rng))
+        v = np.array([1.0, -0.5, 0.25]) * 1e-3
+        draws = moment_draws([m.pi2, m.pi3, m.pi4], np.outer(v, v), 35)
+        assert np.array_equal(_bootstrap_trace_distances(draws), reference_bootstrap(draws))
+
+    def test_zero_constant_coefficient_keeps_scalar_roots(self):
+        """Draws with det == 0 are deflated by np.roots, exactly as before."""
+        draws = np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 2.0], [0.5, -0.1, 0.1]])
+        t = _bootstrap_trace_distances(draws)
+        assert np.array_equal(t, reference_bootstrap(draws))
+        assert t[0] == 0.0
+
+    def test_one_root_solve_whatever_the_draw_count(self, forms, plan, bell, mixed, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "roots", counted(np.roots))
+        monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
+        per_estimate = []
+        for bootstrap in (50, 400):
+            calls.clear()
+            estimate_distances(bell, mixed, forms, shots=1000, seed=36, plan=plan, bootstrap=bootstrap)
+            per_estimate.append(len(calls))
+        assert per_estimate[0] == per_estimate[1] > 0
+
+
 class TestPlanning:
     def test_pi2_plan_shape(self):
         """Nine quadratic graphs pack into one six-pair configuration."""
@@ -217,6 +342,12 @@ class TestEstimation:
         assert abs(pi2_row.estimate - pi2_row.oracle) < 5 * pi2_row.std_err
         assert by_name["trace-distance"].std_err > 0.01
         assert rep.audit_ok
+
+    @pytest.mark.parametrize("kwargs", [{"bootstrap": 1}, {"bootstrap": 0}, {"shots": 0}])
+    def test_too_few_draws_or_shots_rejected(self, forms, plan, bell, mixed, kwargs):
+        args = {"shots": 100, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            estimate_distances(bell, mixed, forms, plan=plan, **args)
 
     def test_missing_form_rejected(self, forms, bell, mixed):
         partial = {k: v for k, v in forms.items() if k != "pi4"}
