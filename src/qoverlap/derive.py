@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -50,6 +50,8 @@ __all__ = [
 
 SNAP_TOL = 1e-7          # distance to the nearest k/3 at which we snap
 FIT_TOL = 1e-9           # max residual for a support to count as exact
+NOISE_WEIGHT = 1e-9      # _prune: relative weight of a column whose coefficient is rounding noise
+FAILED_MARGIN = 1e3      # _prune: removal residual, in FIT_TOL, past which a column stays failed
 HOLDOUT_TOL = 1e-8       # contract: held-out residual bound
 HOLDOUT_PAIRS = 500
 EXACT_CHECK_PAIRS = 24   # rational state pairs used for certification
@@ -662,36 +664,67 @@ def _prune(
 ) -> list[int]:
     """Drop columns whose removal keeps the fit exact, until stable.
 
-    With ``prefer`` set, monomials touching graph classes outside that
-    set are tried first, steering the surviving support toward reuse of
-    an already-required class set.  Scan order is deterministic.  The
-    system is factored once (:func:`_factor_solve`); a removal only
-    re-triangularizes the small factor.
+    Each round solves for the minimum-norm coefficients and tries the
+    columns in a fixed order: those touching the most graph classes
+    outside ``prefer`` first (steering the support toward reuse of an
+    already-required class set), then by coefficient magnitude, then by
+    position.  The first column whose removal leaves the max residual over
+    every row of A below ``FIT_TOL`` is dropped, and the round restarts.
+    The system is factored once (:func:`_factor_solve`); a removal only
+    re-triangularizes the small factor.  Two rules spare solves without
+    changing the support this scan returns:
+
+    * Noise weights.  The leading candidates of the top tier whose weight
+      is at most ``NOISE_WEIGHT`` times the largest have minimum-norm
+      coefficient 0 up to rounding.  Dropping such a column leaves the
+      minimum-norm solution unchanged, so the scan would drop the whole
+      run, one round each, in an order only rounding decides, and the set
+      it ends with does not depend on that order.  The run is dropped in
+      one step when that passes the same residual test; otherwise the
+      round scans one column at a time.
+    * Failed columns.  The least-squares residual never falls when columns
+      are removed, and the max residual lies within a factor sqrt(rows) of
+      its 2-norm.  A column whose removal left a max residual of at least
+      ``FAILED_MARGIN * FIT_TOL`` therefore fails again on every later,
+      smaller support while A has fewer than ``FAILED_MARGIN ** 2`` rows,
+      and is not tried again in this call.
     """
     support = list(support)
     R = _r_factor(A, y, support)
+    failed: set[int] = set()
 
     def outside(col: int) -> int:
         if prefer is None or basis is None:
             return 0
         return len(set(basis.monomials[col]) - prefer)
 
-    changed = True
-    while changed:
-        changed = False
-        coef, _ = _factor_solve(A, y, R, support, list(range(len(support))))
-        weight = dict(zip(support, np.abs(coef)))
-        order = sorted(range(len(support)), key=lambda p: (-outside(support[p]), weight[support[p]], p))
-        for pos in order:
-            keep = [p for p in range(len(support)) if p != pos]
-            if not keep:
-                continue
-            _, res = _factor_solve(A, y, R, support, keep)
-            if res < FIT_TOL:
-                support = [support[p] for p in keep]
-                R = np.linalg.qr(R[:, keep + [-1]], mode="r")
-                changed = True
-                break
+    while len(support) > 1:
+        everything = list(range(len(support)))
+        coef, _ = _factor_solve(A, y, R, support, everything)
+        weight = np.abs(coef)
+        order = sorted(everything, key=lambda p: (-outside(support[p]), weight[p], p))
+        tier, noise = outside(support[order[0]]), NOISE_WEIGHT * weight.max()
+        run = list(takewhile(lambda p: outside(support[p]) == tier and weight[p] <= noise, order))
+        kept = None
+        if 1 < len(run) < len(support):
+            keep = sorted(set(everything) - set(run))
+            if _factor_solve(A, y, R, support, keep)[1] < FIT_TOL:
+                kept = keep
+        if kept is None:
+            for pos in order:
+                if support[pos] in failed:
+                    continue
+                keep = everything[:pos] + everything[pos + 1 :]
+                _, res = _factor_solve(A, y, R, support, keep)
+                if res < FIT_TOL:
+                    kept = keep
+                    break
+                if res >= FAILED_MARGIN * FIT_TOL:
+                    failed.add(support[pos])
+        if kept is None:
+            break
+        support = [support[p] for p in kept]
+        R = np.linalg.qr(R[:, kept + [-1]], mode="r")
     return support
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 The derivation battery is by far the most expensive thing the suite
-runs (70-80 s on a 2-core host), so it is computed once per session
-and shared between the unit tests and the acceptance gate.
+runs (about 20 s on a 2-core host with one BLAS thread), so it is
+computed once per session and shared between the unit tests and the
+acceptance gate.
 """
 import json
 from pathlib import Path

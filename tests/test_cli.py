@@ -5,6 +5,9 @@ every invocation; tests patch that step with the session battery so the
 command logic stays fast to exercise.
 """
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,3 +218,16 @@ class TestVersionFlag:
             cli.main(["--version"])
         assert err.value.code == 0
         assert "qoverlap" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        """``python -m qoverlap`` runs the same parser from a checkout."""
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qoverlap", "--help"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: qoverlap")

@@ -6,9 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+import qoverlap.derive as derive
 from qoverlap.core import PAULI2, random_state, to_correlation
 from qoverlap.derive import (
     EXACT,
+    FIT_TOL,
     TARGETS,
     ResidualError,
     _closed_form_support,
@@ -17,9 +19,11 @@ from qoverlap.derive import (
     _matching_kernel,
     _prune,
     _rat_correlation,
+    _r_factor,
     _rational_state,
     _symbolic_support,
     build_basis,
+    derive_targets,
     fit_coefficients,
     verify_table_claims,
 )
@@ -127,11 +131,20 @@ class TestStandaloneFits:
             fit_coefficients("o2", build_basis(2), samples=600)
 
 
-def reference_prune(A, y, support, basis=None, prefer=None):
-    """The plain prune: every trial is a least-squares solve on all rows of A."""
-    support = list(support)
+def reference_prune(A, y, support, basis=None, prefer=None, factored=False):
+    """The restart scan: one removal per round, every candidate retried.
 
-    def solve(cols):
+    Each trial is a least-squares solve on all rows of A or, with
+    ``factored``, on the R factor of the support, re-triangularized after
+    each removal exactly as ``_prune`` does.
+    """
+    support = list(support)
+    R = _r_factor(A, y, support) if factored else None
+
+    def solve(keep):
+        if factored:
+            return derive._factor_solve(A, y, R, support, keep)
+        cols = [support[p] for p in keep]
         coef, *_ = np.linalg.lstsq(A[:, cols], y, rcond=None)
         return coef, float(np.abs(A[:, cols] @ coef - y).max())
 
@@ -141,15 +154,34 @@ def reference_prune(A, y, support, basis=None, prefer=None):
     changed = True
     while changed:
         changed = False
-        weight = dict(zip(support, np.abs(solve(support)[0])))
-        order = sorted(range(len(support)), key=lambda p: (-outside(support[p]), weight[support[p]], p))
+        everything = list(range(len(support)))
+        weight = np.abs(solve(everything)[0])
+        order = sorted(everything, key=lambda p: (-outside(support[p]), weight[p], p))
         for pos in order:
-            trial = support[:pos] + support[pos + 1 :]
-            if trial and solve(trial)[1] < 1e-9:
-                support = trial
+            keep = everything[:pos] + everything[pos + 1 :]
+            if keep and solve(keep)[1] < FIT_TOL:
+                support = [support[p] for p in keep]
+                if factored:
+                    R = np.linalg.qr(R[:, keep + [-1]], mode="r")
                 changed = True
                 break
     return support
+
+
+def count_solves(monkeypatch):
+    """A list whose length counts the ``_factor_solve`` calls from now on."""
+    calls, solve = [], derive._factor_solve
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(derive, "_factor_solve", counted)
+    return calls
+
+
+def gaussian_columns(n, rows=50, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, rows))
 
 
 def union_find_gram(matchings, n):
@@ -233,9 +265,61 @@ class TestCompressedSolves:
             prefer = frozenset(basis.index_of_graph(two.graphs[i]) for i in classes)
         got = _prune(A, y, support, basis, prefer)
         assert got == reference_prune(A, y, support, basis, prefer)
+        assert got == reference_prune(A, y, support, basis, prefer, factored=True)
         assert len(got) < len(support)
         if prefer:  # the preferred classes steer the result away from the plain prune
             assert sorted(got) != sorted(_prune(A, y, support))
+
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_every_prune_keeps_the_restart_scans_support(self, monkeypatch, seed):
+        """Each prune of a derivation returns the restart scan's list, in order."""
+        calls = []
+
+        def checked(A, y, support, basis=None, prefer=None):
+            got = _prune(A, y, support, basis, prefer)
+            ref = reference_prune(A, y, support, basis, prefer, factored=True)
+            calls.append((len(support), got, ref))
+            return got
+
+        monkeypatch.setattr(derive, "_DESIGN_CACHE", {})
+        monkeypatch.setattr(derive, "_prune", checked)
+        derive_targets([t for t in TARGETS if t != "pi4"], seed=seed)
+        assert len(calls) == 16
+        assert [got for _, got, _ in calls] == [ref for _, _, ref in calls]
+        assert sum(len(got) for _, got, _ in calls) < sum(n for n, _, _ in calls)
+
+    def test_failed_noise_run_falls_back_to_single_removals(self):
+        """a2 and a3 carry weights below the noise bar but are needed.
+
+        Dropping them together fails, so the round scans one column at a
+        time and still removes a1, which its multiple 2 a1 replaces.
+        """
+        a1, a2, a3 = gaussian_columns(3)
+        A, y = np.column_stack([a1, a2, a3, 2 * a1]), 1e4 * a1 + 1e-6 * (a2 + a3)
+        assert reference_prune(A, y, range(4), factored=True) == [1, 2, 3]
+        assert _prune(A, y, list(range(4))) == [1, 2, 3]
+
+    def test_failed_column_is_not_retried(self, monkeypatch):
+        """a1 fails in round one; the restart scan tries it again in round two."""
+        a1, a2 = gaussian_columns(2)
+        A, y = np.column_stack([a1, a2, 2 * a2]), a1 + 10 * a2
+        solves = count_solves(monkeypatch)
+        got = _prune(A, y, [0, 1, 2])
+        fast = len(solves)
+        assert got == reference_prune(A, y, [0, 1, 2], factored=True) == [0, 2]
+        assert (fast, len(solves) - fast) == (5, 6)
+
+    def test_solve_count_guard(self, monkeypatch):
+        """The largest prune of a derivation: far fewer solves than the restart scan."""
+        basis, A, rhos1, rhos2 = design(4)
+        y = np.array([TARGETS["w1122"](a, b) for a, b in zip(rhos1, rhos2)])
+        support = _symbolic_support("w1122", basis)
+        solves = count_solves(monkeypatch)
+        got = _prune(A, y, support)
+        fast = len(solves)
+        ref = reference_prune(A, y, support, factored=True)
+        assert (len(support), len(got)) == (196, 64) and got == ref
+        assert fast <= 120 < len(solves) - fast
 
     def test_gram_matrix_matches_union_find(self):
         matchings, _ = _matching_kernel(3)
