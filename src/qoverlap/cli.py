@@ -18,7 +18,8 @@ Three verbs:
 
 Exit codes: 0 success; 1 validation or physics failure (bad state file,
 nonphysical state, violated chain inequality); 2 usage error; 3 no exact
-representation found (derivation residual above bound).
+representation found (derivation residual above bound, or a printed fit
+not certified exactly).
 """
 from __future__ import annotations
 
@@ -364,6 +365,10 @@ def cmd_derive(args) -> int:
             blocks.append("")
         text = "\n".join(blocks)
     _emit(text, args.out)
+    uncertified = [t for t, fit in fits.items() if not fit.exact_certified]
+    if uncertified:
+        print(f"error: fits not certified exactly: {', '.join(uncertified)}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -26,6 +26,7 @@ from .graphs import (
     connected_components,
     enumerate_classes,
     enumerate_matchings,
+    exact_numerators,
     probability_batch,
     probability_exact,
 )
@@ -843,7 +844,7 @@ def fit_coefficients(
         ok = True
         for pair_no in range(n_pairs):
             q1, q2 = _rational_state(crng), _rational_state(crng)
-            QR1, QR2 = _rat_correlation(q1), _rat_correlation(q2)
+            QR1, QR2 = (exact_numerators(_rat_correlation(q)) for q in (q1, q2))
             probs = {i: probability_exact(basis.graphs[i], QR1, QR2) for i in support_classes}
             row = []
             for k in keys:

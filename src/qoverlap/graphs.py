@@ -11,9 +11,12 @@ combinatorial counts behind the class bookkeeping.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,8 @@ __all__ = [
     "enumerate_classes",
     "probability_batch",
     "probability_exact",
+    "Numerators",
+    "exact_numerators",
     "connected_components",
     "dedup_report",
 ]
@@ -45,6 +50,22 @@ _FINGERPRINT_PAIRS = 56
 def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     out = tuple(sorted(tuple(sorted(map(int, e))) for e in edges))
     return out
+
+
+@lru_cache(maxsize=None)
+def _copy_exchanges(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
+    """Mode maps of every same-state copy exchange on the standard ``(n1, n2)`` layout.
+
+    Entry ``r[m]`` is where mode ``m`` goes: copies of state 1 are
+    permuted among themselves, copies of state 2 likewise, and each
+    copy's ``a``/``b`` modes follow it.
+    """
+    maps = []
+    for p1 in permutations(range(n1)):
+        for p2 in permutations(range(n1, n1 + n2)):
+            copy = p1 + p2
+            maps.append(tuple(2 * copy[m // 2] + m % 2 for m in range(2 * (n1 + n2))))
+    return tuple(maps)
 
 
 @dataclass(frozen=True)
@@ -100,32 +121,41 @@ class MeasurementGraph:
         ]
         return MeasurementGraph(new_layout, edges)
 
-    def minimal(self) -> "MeasurementGraph":
-        """Drop untouched copies and re-sort into standard layout order."""
+    @classmethod
+    def _unchecked(cls, layout: ModeLayout, edges: tuple[tuple[int, int], ...]) -> "MeasurementGraph":
+        """A graph from edges already normalized and valid on ``layout``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "layout", layout)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    def _minimal_copies(self) -> tuple[dict[int, int], ModeLayout]:
+        """Copy map and layout of :meth:`minimal`: touched copies, state 1 first."""
         touched = self.touched_copies()
         if not touched:
             raise ValueError("the empty graph has no minimal layout")
-        ids = [self.layout.copies[c] for c in touched]
-        order = sorted(range(len(touched)), key=lambda k: (ids[k], touched[k]))
-        perm = {touched[old]: new for new, old in enumerate(order)}
-        new_layout = ModeLayout(tuple(ids[old] for old in order))
-        return self.relabel(perm, new_layout)
+        order = sorted(touched, key=lambda c: (self.layout.copies[c], c))
+        perm = {old: new for new, old in enumerate(order)}
+        return perm, ModeLayout(tuple(self.layout.copies[c] for c in order))
+
+    def minimal(self) -> "MeasurementGraph":
+        """Drop untouched copies and re-sort into standard layout order."""
+        perm, layout = self._minimal_copies()
+        return self if layout == self.layout else self.relabel(perm, layout)
 
     def canonical(self) -> "MeasurementGraph":
-        """Lexicographically smallest relabeling under same-state copy exchange."""
-        g = self.minimal()
-        n1, n2 = g.counts()
-        best = None
-        for p1 in permutations(range(n1)):
-            for p2 in permutations(range(n2)):
-                perm = {i: p1[i] for i in range(n1)}
-                perm.update({n1 + i: n1 + p2[i] for i in range(n2)})
-                edges = _normalize_edges(
-                    tuple(2 * perm[m // 2] + (m % 2) for m in e) for e in g.edges
-                )
-                if best is None or edges < best:
-                    best = edges
-        return MeasurementGraph(g.layout, best)
+        """Lexicographically smallest relabeling under same-state copy exchange.
+
+        The minimum runs over plain edge tuples, one per mode map of
+        :func:`_copy_exchanges` on the minimal layout.
+        """
+        perm, layout = self._minimal_copies()
+        edges = [(2 * perm[i // 2] + i % 2, 2 * perm[j // 2] + j % 2) for i, j in self.edges]
+        best = min(
+            tuple(sorted((r[i], r[j]) if r[i] < r[j] else (r[j], r[i]) for i, j in edges))
+            for r in _copy_exchanges(*layout.counts())
+        )
+        return MeasurementGraph._unchecked(layout, best)
 
     def role_swapped(self) -> "MeasurementGraph":
         """The same graph with the two states' roles exchanged."""
@@ -202,7 +232,8 @@ def _fingerprint_states() -> tuple[np.ndarray, np.ndarray]:
     return np.array(R1s), np.array(R2s)
 
 
-def enumerate_classes(max_copies: int = 4) -> list[MeasurementGraph]:
+@lru_cache(maxsize=None)
+def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
     """Connected graph classes on every layout with at most ``max_copies`` copies.
 
     Graphs are deduplicated by canonical form under copy exchange, and
@@ -211,7 +242,8 @@ def enumerate_classes(max_copies: int = 4) -> list[MeasurementGraph]:
     equivalent as measurements.  Connected
     classes generate everything else: a disconnected graph's probability
     is the product over its components, and untouched copies are
-    dropped.  Deterministic ordering.
+    dropped.  Deterministic ordering.  The enumeration runs once per
+    ``max_copies`` and process; later calls return the same tuple.
     """
     classes: dict[tuple, MeasurementGraph] = {}
     for n1 in range(max_copies + 1):
@@ -229,7 +261,7 @@ def enumerate_classes(max_copies: int = 4) -> list[MeasurementGraph]:
     for g in sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)):
         fp = tuple(np.round(probability_batch(g, R1s, R2s), 10))
         seen.setdefault(fp, g)
-    return sorted(seen.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges))
+    return tuple(sorted(seen.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +282,15 @@ def _copy_factors(graph: MeasurementGraph) -> list[tuple[int, int | None, int | 
     return out
 
 
-def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, list[tuple[int, str]]]:
+@lru_cache(maxsize=None)
+def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, tuple[tuple[int, str], ...]]:
     """Subscript string and copy/slice plan for the probability contraction.
 
     Returns the einsum subscripts (eta operands first, then one operand
     per touched copy with a batch axis) and, per copy, its state id and
     slice spec: ``"ab"`` (full matrix), ``"a"`` (first column), ``"b"``
-    (first row), or ``"d"`` (diagonal, within-copy edge).
+    (first row), or ``"d"`` (diagonal, within-copy edge).  Built once
+    per graph.
     """
     letters = "ijklmnop"
     subs = [letters[k] for k in range(graph.n_edges)]
@@ -278,10 +312,20 @@ def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, list[tuple[int, str]]]
             copy_plan.append((sid, "b"))
             copy_subs.append("s" + subs[eb])
     spec = ",".join(subs + copy_subs) + "->s"
-    return spec, copy_plan
+    return spec, tuple(copy_plan)
 
 
-def _copy_operands(copy_plan: list[tuple[int, str]], R1s: np.ndarray, R2s: np.ndarray) -> list[np.ndarray]:
+@lru_cache(maxsize=None)
+def _contraction_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """The path ``np.einsum(..., optimize=True)`` plans, once per subscripts and shapes.
+
+    Passing it back as ``optimize=path`` runs the same pairwise
+    contractions in the same order, so the result is bit-identical.
+    """
+    return np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize=True)[0]
+
+
+def _copy_operands(copy_plan: tuple[tuple[int, str], ...], R1s: np.ndarray, R2s: np.ndarray) -> list[np.ndarray]:
     """Per touched copy, its state's batch of matrices sliced as the copy plan says."""
     operands = []
     for sid, kind in copy_plan:
@@ -310,28 +354,40 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
         return np.ones(R1s.shape[0])
     spec, copy_plan = _einsum_recipe(graph)
     operands = [ETA] * graph.n_edges + _copy_operands(copy_plan, R1s, R2s)
-    return np.einsum(spec, *operands, optimize=True) / 4.0**graph.n_edges
+    path = _contraction_path(spec, tuple(op.shape for op in operands))
+    return np.einsum(spec, *operands, optimize=path) / 4.0**graph.n_edges
 
 
-def _numerators(R) -> tuple[np.ndarray, int]:
+class Numerators(NamedTuple):
+    """A rational 4x4 matrix as integer numerators over one common denominator."""
+
+    N: np.ndarray
+    den: int
+
+
+def exact_numerators(R) -> Numerators:
     """Integer numerators of a rational 4x4 matrix over its least common denominator."""
     den = math.lcm(*(v.denominator for row in R for v in row))
-    return np.array([[v.numerator * (den // v.denominator) for v in row] for row in R]), den
+    return Numerators(np.array([[v.numerator * (den // v.denominator) for v in row] for row in R]), den)
 
 
 def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
     """Exact rational graph probability from rational correlation matrices.
 
-    ``R1``/``R2`` are 4x4 nested sequences of :class:`fractions.Fraction`.
-    Each is written as integer numerators over a common denominator, the
-    contraction of :func:`probability_batch` runs on those integers, and
-    the result is one fraction.  The integers are int64 while no partial
-    sum can reach 2**63, and Python integers otherwise.
+    ``R1``/``R2`` are 4x4 nested sequences of :class:`fractions.Fraction`,
+    or the :class:`Numerators` of one from :func:`exact_numerators`; a
+    caller evaluating many graphs on one pair converts the pair once.
+    The contraction of :func:`probability_batch` runs on the integer
+    numerators and the result is one fraction.  The integers are int64
+    while no partial sum can reach 2**63, and Python integers otherwise.
     """
     if not graph.edges:
         return Fraction(1)
     spec, copy_plan = _einsum_recipe(graph)
-    exact = {1: _numerators(R1), 2: _numerators(R2)}
+    exact = {
+        sid: R if isinstance(R, Numerators) else exact_numerators(R)
+        for sid, R in ((1, R1), (2, R2))
+    }
     denominator = bound = 4**graph.n_edges
     for sid, _ in copy_plan:
         N, den = exact[sid]
@@ -349,7 +405,7 @@ def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_count(classes: list[MeasurementGraph], role_swap: bool) -> int:
+def _orbit_count(classes: Iterable[MeasurementGraph], role_swap: bool) -> int:
     keys = set()
     for g in classes:
         k = g.canonical().key()

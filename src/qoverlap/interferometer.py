@@ -107,7 +107,7 @@ _OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
 
 
 @lru_cache(maxsize=None)
-def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, list, list]:
+def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple, list]:
     """Subscripts, copy plan and einsum path of a graph's pattern contraction.
 
     :func:`_einsum_recipe`'s subscripts with an outcome axis added to
@@ -165,6 +165,7 @@ def pattern_distribution(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def find_embedding(
     host: MeasurementGraph, small: MeasurementGraph
 ) -> tuple[int, ...] | None:
@@ -173,7 +174,8 @@ def find_embedding(
     Copies of ``small`` are mapped injectively onto same-state copies of
     ``host`` so that every edge of ``small`` lands on an edge of
     ``host``; the first mapping in deterministic order is returned as
-    the tuple of host edge indices (one per edge of ``small``).
+    the tuple of host edge indices (one per edge of ``small``).  Each
+    pair is searched once per process.
     """
     sg, hg = small.minimal(), host.minimal()
     s1, s2 = sg.counts()

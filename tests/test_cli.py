@@ -4,6 +4,7 @@ The simulate/sweep paths re-derive the measurement decompositions on
 every invocation; tests patch that step with the session battery so the
 command logic stays fast to exercise.
 """
+import dataclasses
 import json
 import os
 import subprocess
@@ -139,6 +140,18 @@ class TestDerive:
         monkeypatch.setattr(derive, "fit_coefficients", boom)
         assert cli.main(["derive", "--target", "pi2"]) == 3
         assert "pi2" in capsys.readouterr().err
+
+    def test_uncertified_fit_exits_three_after_the_tables(self, fits, monkeypatch, capsys):
+        def one_uncertified(target, *a, **k):
+            fit = fits[target]
+            return dataclasses.replace(fit, exact_certified=False) if target == "pi3" else fit
+
+        monkeypatch.setattr(derive, "fit_coefficients", one_uncertified)
+        assert cli.main(["derive", "--target", "all"]) == 3
+        out, err = capsys.readouterr()
+        assert out.count("# target: ") == len(fits) and "| stated " in out  # tables and report
+        assert out.count("certified False") == 1
+        assert "not certified" in err and "pi3" in err
 
     def test_all_targets_print_the_golden_tables(self, fits, monkeypatch, capsys):
         """The battery's tables and claim report, minus the run-specific lines."""

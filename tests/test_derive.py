@@ -27,7 +27,7 @@ from qoverlap.derive import (
     fit_coefficients,
     verify_table_claims,
 )
-from qoverlap.graphs import probability_exact
+from qoverlap.graphs import exact_numerators, probability_exact
 
 
 def fresh_ensemble(n, seed):
@@ -334,8 +334,12 @@ class TestCompressedSolves:
             q1, q2 = _rational_state(rng), _rational_state(rng)
             R1, R2 = _rat_correlation(q1), _rat_correlation(q2)
             assert R1 == fraction_correlation(q1) and R2 == fraction_correlation(q2)
+            N1, N2 = exact_numerators(R1), exact_numerators(R2)
+            assert len(basis.graphs) == 237
             for g in basis.graphs:
-                assert probability_exact(g, R1, R2) == fraction_probability(g, R1, R2), str(g)
+                want = fraction_probability(g, R1, R2)
+                assert probability_exact(g, R1, R2) == want, str(g)
+                assert probability_exact(g, N1, N2) == want, str(g)
 
     def test_large_numerators_stay_exact(self):
         """Past the int64 bound the contraction runs in Python integers."""

@@ -1,14 +1,23 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.graphs import (
     MeasurementGraph,
+    _copy_operands,
+    _einsum_recipe,
+    _fingerprint_states,
+    _normalize_edges,
     connected_components,
     count_matchings,
     dedup_report,
     enumerate_classes,
     enumerate_matchings,
+    is_connected_spanning,
     probability_batch,
     probability_exact,
 )
@@ -17,6 +26,70 @@ from qoverlap.interferometer import find_embedding, graph_probability
 
 def _rand_R(rng):
     return to_correlation(random_state(4, seed=rng))
+
+
+def reference_canonical(graph):
+    """Canonical form by the permutation scan: every copy exchange re-sorts its edges."""
+    touched = sorted({m // 2 for e in graph.edges for m in e})
+    ids = [graph.layout.copies[c] for c in touched]
+    order = sorted(range(len(touched)), key=lambda k: (ids[k], touched[k]))
+    g = graph.relabel(
+        {touched[old]: new for new, old in enumerate(order)},
+        ModeLayout(tuple(ids[old] for old in order)),
+    )
+    n1, n2 = g.counts()
+    best = None
+    for p1 in permutations(range(n1)):
+        for p2 in permutations(range(n2)):
+            perm = {i: p1[i] for i in range(n1)}
+            perm.update({n1 + i: n1 + p2[i] for i in range(n2)})
+            edges = _normalize_edges(
+                tuple(2 * perm[m // 2] + (m % 2) for m in e) for e in g.edges
+            )
+            if best is None or edges < best:
+                best = edges
+    return MeasurementGraph(g.layout, best)
+
+
+def reference_class_keys(max_copies):
+    """Keys of ``enumerate_classes`` rebuilt by brute force on the reference canonical form."""
+    order = lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)  # noqa: E731
+    classes = {}
+    for n1 in range(max_copies + 1):
+        for n2 in range(max_copies + 1 - n1):
+            if n1 + n2 < 1:
+                continue
+            layout = ModeLayout.standard(n1, n2)
+            for edges in enumerate_matchings(list(range(layout.n_modes))):
+                if edges and is_connected_spanning(layout, edges):
+                    g = reference_canonical(MeasurementGraph(layout, edges))
+                    classes.setdefault(g.key(), g)
+    R1s, R2s = _fingerprint_states()
+    seen = {}
+    for g in sorted(classes.values(), key=order):
+        seen.setdefault(tuple(np.round(probability_batch(g, R1s, R2s), 10)), g)
+    return [g.key() for g in sorted(seen.values(), key=order)]
+
+
+@st.composite
+def graphs(draw):
+    """A non-empty matching on a layout of one to four copies in any state order."""
+    copies = tuple(draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4)))
+    modes = draw(st.permutations(range(2 * len(copies))))
+    n_edges = draw(st.integers(1, len(copies)))
+    edges = [(modes[2 * k], modes[2 * k + 1]) for k in range(n_edges)]
+    return MeasurementGraph(ModeLayout(copies), edges)
+
+
+@st.composite
+def exchanged(draw):
+    """A graph and the same graph after a random same-state copy exchange."""
+    g = draw(graphs())
+    perm = {}
+    for sid in (1, 2):
+        mine = [c for c, s in enumerate(g.layout.copies) if s == sid]
+        perm.update(zip(mine, draw(st.permutations(mine))))
+    return g, g.relabel(perm, g.layout)
 
 
 class TestEnumeration:
@@ -40,6 +113,24 @@ class TestEnumeration:
 
     def test_classes_have_edges(self):
         assert all(g.n_edges >= 1 for g in enumerate_classes(2))
+
+    def test_classes_match_brute_force_reference(self):
+        got = enumerate_classes(4)
+        assert isinstance(got, tuple) and enumerate_classes(4) is got
+        assert [g.key() for g in got] == reference_class_keys(4)
+
+
+class TestCanonical:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    def test_matches_permutation_scan(self, g):
+        assert g.canonical().key() == reference_canonical(g).key()
+
+    @settings(max_examples=300, deadline=None)
+    @given(exchanged())
+    def test_invariant_under_copy_exchange(self, pair):
+        g, h = pair
+        assert g.canonical().key() == h.canonical().key()
 
 
 class TestGraphValidation:
@@ -93,6 +184,19 @@ class TestProbabilities:
             for rho1, rho2 in rhos:
                 p = graph_probability(g, rho1, rho2)
                 assert -1e-12 <= p <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("batch", [56, 500, 600, 1400])
+    def test_cached_path_is_bit_identical(self, batch):
+        """The cached path reproduces ``optimize=True`` re-planned on every call."""
+        rng = np.random.default_rng(batch)
+        R1s = np.stack([_rand_R(rng) for _ in range(batch)])
+        R2s = np.stack([_rand_R(rng) for _ in range(batch)])
+        for g in enumerate_classes(4):
+            spec, copy_plan = _einsum_recipe(g)
+            operands = [np.array([1.0, -1.0, -1.0, -1.0])] * g.n_edges
+            operands += _copy_operands(copy_plan, R1s, R2s)
+            planned = np.einsum(spec, *operands, optimize=True) / 4.0**g.n_edges
+            assert np.array_equal(probability_batch(g, R1s, R2s), planned), str(g)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
