@@ -39,6 +39,7 @@ __all__ = [
     "swap_modes",
     "mode_swap_unitary",
     "random_state",
+    "ginibre_states",
     "random_unitary",
     "__version__",
 ]
@@ -139,13 +140,15 @@ def guarded_sqrt(radicand: float, what: str, scale: float, tol: float) -> float:
 def to_correlation(rho: np.ndarray) -> np.ndarray:
     """Correlation matrix ``R[m, n] = Tr(rho . sigma_m x sigma_n)`` of a two-qubit state.
 
-    The result is real for Hermitian input; an imaginary residue above
-    1e-9 signals an invalid matrix and raises ``ValueError``.
+    A stack of states, shape ``(..., 4, 4)``, gives the stack of their
+    matrices, each bitwise the one its state gives alone.  The result is
+    real for Hermitian input; an imaginary residue above 1e-9 signals an
+    invalid matrix and raises ``ValueError``.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    R = np.einsum("mnij,ji->mn", PAULI2, rho)
+    R = np.einsum("mnij,...ji->...mn", PAULI2, rho)
     resid = np.abs(R.imag).max()
     if resid > 1e-9:
         raise ValueError(f"correlation matrix has non-negligible imaginary part {resid:.3e}")
@@ -332,6 +335,21 @@ def random_state(
         r = rank
     else:
         raise ValueError(f"unknown measure {measure!r}")
-    G = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-    rho = G @ G.conj().T
-    return rho / rho.trace().real
+    return ginibre_states(rng, dim=dim, rank=r)
+
+
+def ginibre_states(
+    rng: np.random.Generator, shape: tuple[int, ...] = (), dim: int = 4, rank: int | None = None
+) -> np.ndarray:
+    """Hilbert-Schmidt random density matrices, an array of ``shape + (dim, dim)``.
+
+    Each is ``G G^dag`` over its trace for a complex Ginibre ``G`` with
+    ``rank`` columns (default ``dim``).  The states draw their ``G``'s
+    real part, then its imaginary part, one after another in C order over
+    ``shape``, so a batch holds bitwise the states that as many
+    :func:`random_state` calls on ``rng`` return, in that order.
+    """
+    X = rng.normal(size=(*shape, 2, dim, dim if rank is None else rank))
+    G = X[..., 0, :, :] + 1j * X[..., 1, :, :]
+    rho = G @ np.swapaxes(G.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]

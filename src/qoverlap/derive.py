@@ -20,13 +20,15 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import ModeLayout, PAULI, PAULI2, random_state, to_correlation
+from .core import ModeLayout, PAULI, PAULI2, ginibre_states, to_correlation
 from .graphs import (
     MeasurementGraph,
     connected_components,
     enumerate_classes,
     enumerate_matchings,
     exact_numerators,
+    matching_orbits,
+    matching_partners,
     probability_batch,
     probability_exact,
 )
@@ -77,12 +79,18 @@ class Arithmetic(NamedTuple):
     trace: Callable
 
 
+def _real_trace(x: np.ndarray):
+    """Real part of the trace over the last two axes; a Python float for one matrix."""
+    t = np.trace(x, axis1=-2, axis2=-1).real
+    return float(t) if t.ndim == 0 else t
+
+
 FLOAT = Arithmetic(
     one=1.0,
     identity=np.eye(4, dtype=complex),
     mul=np.matmul,
     sub=np.subtract,
-    trace=lambda x: float(np.trace(x).real),
+    trace=_real_trace,
 )
 
 
@@ -119,10 +127,14 @@ class Target:
     def __call__(self, rho1, rho2, arith: Arithmetic = FLOAT):
         """Value on a pair, in floats or, with ``arith=EXACT``, exact rationals.
 
-        A moment is computed from its power, never from its word
-        expansion (the fits are what check that expansion), with
-        ``np.linalg.matrix_power``'s product order: a square, then one
-        more factor or a second square.
+        In floats, one pair of 4x4 matrices gives a Python float, and two
+        ``(S, 4, 4)`` stacks give the array of the S pairs' values, each
+        bitwise the value of its pair alone: ``matmul`` and the trace work
+        matrix by matrix in the same order.  The constant target is the
+        scalar 1 either way.  A moment is computed from its power, never
+        from its word expansion (the fits are what check that expansion),
+        with ``np.linalg.matrix_power``'s product order: a square, then
+        one more factor or a second square.
         """
         if self.moment:
             lam = arith.sub(rho1, rho2)
@@ -221,12 +233,16 @@ class MonomialBasis:
         raise KeyError(f"graph {graph!s} not in basis")
 
 
+@lru_cache(maxsize=None)
 def build_basis(max_copies: int) -> MonomialBasis:
     """Monomial basis over the connected graph classes.
 
     ``max_copies`` is 2 (enough for purities, first-order overlaps and
     Pi_2) or 4 (fourth-order overlaps and the higher moments).  Monomials
     are all multisets of classes whose copy counts sum to at most four.
+    The basis is built once per ``max_copies`` and process; later calls
+    return the same object, so the fits share one design-matrix cache
+    entry per ensemble.
     """
     if max_copies not in (2, 4):
         raise ValueError("max_copies must be 2 or 4")
@@ -328,34 +344,35 @@ def _trace_tensor(k: int) -> np.ndarray:
     return np.einsum(f"{spec}->{up}", *([PAULI] * k))
 
 
-def _matching_gram(matchings: list[tuple[tuple[int, int], ...]], n: int) -> np.ndarray:
+def _matching_gram(
+    matchings: list[tuple[tuple[int, int], ...]], n: int, rows: Iterable[int] | None = None
+) -> np.ndarray:
     """Inner products of the matching tensors D_M on ``n`` slots of 4 values.
 
     <D_a, D_b> is 4 to the number of components of the union of the two
     matchings in which every slot is covered by both (the free index
     groups); any other component is pinned to 0.  Built one row a at a
-    time for every b: a slot starts with its own number, or -1 when it is
-    pinned, and each slot takes the least value of its neighbours along
-    a's edges and then along b's.  A component is a path or cycle of at
-    most n slots whose edges alternate between the two matchings, so
-    n // 2 such rounds give every slot the least value of its component,
-    and a free component is one whose smallest slot still holds itself.
+    time, for the matchings ``rows`` (default all), against every b: a
+    slot starts with its own number, or -1 when it is pinned, and each
+    slot takes the least value of its neighbours along a's edges and then
+    along b's.  A component is a path or cycle of at most n slots whose
+    edges alternate between the two matchings, so n // 2 such rounds give
+    every slot the least value of its component, and a free component is
+    one whose smallest slot still holds itself.
     """
     m = len(matchings)
+    rows = range(m) if rows is None else list(rows)
     slots = np.arange(n)
-    partner = np.tile(slots, (m, 1))
-    for b, M in enumerate(matchings):
-        for u, v in M:
-            partner[b, u], partner[b, v] = v, u
+    partner = matching_partners(matchings, n)
     covered = partner != slots
     flat_partner = (partner + n * np.arange(m)[:, None]).ravel()
-    G = np.empty((m, m))
-    for a in range(m):
+    G = np.empty((len(rows), m))
+    for r, a in enumerate(rows):
         label = np.where(covered[a] & covered, slots, -1)
         for _ in range(n // 2):
             label = np.minimum(label, label[:, partner[a]])
             label = np.minimum(label, label.take(flat_partner).reshape(m, n))
-        G[a] = 4.0 ** (label == slots).sum(axis=1)
+        G[r] = 4.0 ** (label == slots).sum(axis=1)
     return G
 
 
@@ -368,22 +385,53 @@ def _matching_indices(M: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarra
     return tuple(idx)
 
 
+def _slot_symmetries(k: int) -> np.ndarray:
+    """Slot permutations fixing Re(t_k x t_k), one row ``perm`` (slot s -> perm[s]) each.
+
+    t_k is invariant under rotating its word and becomes its complex
+    conjugate when the word is reversed (the Paulis are Hermitian), so
+    Re(t[m] t[n]) is fixed by rotating either word, by reversing both
+    and by swapping the two: 4 k^2 rows, 64 distinct for k = 4.
+    """
+    word, n = np.arange(k), 2 * k
+    perms = []
+    for r1, r2, reverse, swap in product(range(k), range(k), (False, True), (False, True)):
+        perm = np.concatenate([(word + r1) % k, (word + r2) % k + k])
+        if reverse:
+            perm = np.where(perm < k, k - 1 - perm, 3 * k - 1 - perm)
+        if swap:
+            perm = (perm + k) % n
+        perms.append(perm)
+    return np.array(perms)
+
+
 @lru_cache(maxsize=None)
 def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
     """Coefficients c with Re(t_k x t_k) = sum_M c[M] * D_M.
 
     Slots 0..k-1 are the row word, k..2k-1 the column word.  D_M is 1
     where all matched slot pairs agree and every unmatched slot is 0.
-    The Gram system is solved in closed form (:func:`_matching_gram`) and
-    the expansion is verified pointwise; for k = 4 the matching tensors
-    are linearly dependent and the minimum-norm solution is used.
+    For k = 4 the matching tensors are linearly dependent and c is the
+    minimum-norm solution of the Gram system G c = <D, kern>.  The
+    kernel and G are invariant under the slot symmetries, so that
+    solution is constant on the orbits of the matchings (42 of 764 for
+    k = 4, :func:`~qoverlap.graphs.matching_orbits`): with x[O] its value
+    on orbit O, the rows of one member per orbit, their Gram entries
+    (:func:`_matching_gram`) summed over each orbit, give B x = rhs, and
+    since ||c||^2 = sum_O |O| x[O]^2, c comes from the minimum-norm
+    z = sqrt(|O|) x of B[P, O] / sqrt(|O|) z = rhs.  The expansion is
+    verified pointwise.
     """
     t = _trace_tensor(k)
     kern = np.multiply.outer(t, t).real
     n = 2 * k
     matchings = enumerate_matchings(list(range(n)))
-    rhs = np.array([kern[_matching_indices(M, n)].sum() for M in matchings])
-    c, *_ = np.linalg.lstsq(_matching_gram(matchings, n), rhs, rcond=None)
+    orbit, members = matching_orbits(matchings, _slot_symmetries(k))
+    w = np.sqrt(np.bincount(orbit))
+    rhs = np.array([kern[_matching_indices(matchings[a], n)].sum() for a in members])
+    B = _matching_gram(matchings, n, members) @ (orbit[:, None] == np.arange(len(members)))
+    z, *_ = np.linalg.lstsq(B / w, rhs, rcond=None)
+    c = (z / w)[orbit]
 
     approx = np.zeros_like(kern)
     for M, ca in zip(matchings, c):
@@ -405,8 +453,9 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
     into graph probabilities by inclusion-exclusion over edge subsets,
     and each subset factorizes over its connected copy components.
     Returned keys are tuples of canonical component keys (empty tuple =
-    the constant term); only the support is consumed downstream, the
-    values are kept for diagnostics.
+    the constant term), with every accumulated value, rounding noise
+    included; :func:`_symbolic_support` keeps the monomials whose total
+    over a target's words is not noise.
     """
     k = len(word)
     matchings, c = _matching_kernel(k)
@@ -439,7 +488,7 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
             for chosen in combinations(edges, r):
                 mono = monomial(frozenset(chosen))
                 acc[mono] = acc.get(mono, 0.0) + prefactor * (-1.0) ** r * 2.0 ** (r - n_edges)
-    return {mono: v for mono, v in acc.items() if abs(v) > 1e-9}
+    return acc
 
 
 def _symbolic_support(target: str, basis: MonomialBasis) -> list[int] | None:
@@ -601,17 +650,23 @@ def _predict(basis: MonomialBasis, entries: dict, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_ensemble(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, list, list]:
-    rhos1 = [random_state(4, seed=rng) for _ in range(n)]
-    rhos2 = [random_state(4, seed=rng) for _ in range(n)]
-    R1s = np.array([to_correlation(r) for r in rhos1])
-    R2s = np.array([to_correlation(r) for r in rhos2])
-    return R1s, R2s, rhos1, rhos2
+def _sample_ensemble(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` Ginibre pairs: all first states, then all second states.
+
+    Returns the two (n, 4, 4) stacks of correlation matrices and the two
+    (n, 4, 4) stacks of density matrices.
+    """
+    rhos1 = ginibre_states(rng, (n,))
+    rhos2 = ginibre_states(rng, (n,))
+    return to_correlation(rhos1), to_correlation(rhos2), rhos1, rhos2
 
 
 #: (basis id, samples, seed) -> fit/holdout ensembles, design matrices, rank.
-#: The basis objects are module-lifetime singletons in practice, so this
-#: cache just spares every fit the same multi-second rebuild.
+#: :func:`build_basis` returns one basis per copy count and process, so the
+#: fits on one basis share an entry and skip redrawing the ensembles and
+#: rebuilding the design matrix.
 _DESIGN_CACHE: dict[tuple, tuple] = {}
 
 
@@ -787,7 +842,7 @@ def fit_coefficients(
         )
     oracle = TARGETS[target]
     A, rhos1, rhos2, rank, P_hold, h1, h2 = _design_context(basis, samples, seed)
-    y = np.array([oracle(r1, r2) for r1, r2 in zip(rhos1, rhos2)])
+    y = np.full(len(rhos1), oracle(rhos1, rhos2))
     non_unique = rank < basis.n_monomials
 
     seeds = [_closed_form_support(target, basis), _symbolic_support(target, basis)]
@@ -872,7 +927,7 @@ def fit_coefficients(
 
     # Held-out validation on fresh pairs (graph probabilities reused
     # across monomials through the precomputed class matrix).
-    y_h = np.array([oracle(r1, r2) for r1, r2 in zip(h1, h2)])
+    y_h = np.full(len(h1), oracle(h1, h2))
     pred = _predict(basis, entries, P_hold)
     residual = float(np.abs(pred - y_h).max()) if entries else float(np.abs(y_h).max())
     if residual >= HOLDOUT_TOL:

@@ -20,12 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModeLayout, to_correlation
+from .core import ModeLayout, ginibre_states, to_correlation
 
 __all__ = [
     "ETA",
     "MeasurementGraph",
     "enumerate_matchings",
+    "matching_partners",
+    "matching_orbits",
     "count_matchings",
     "is_connected_spanning",
     "enumerate_classes",
@@ -181,6 +183,35 @@ def enumerate_matchings(modes: list[int]) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def matching_partners(matchings: list[tuple[tuple[int, int], ...]], n: int) -> np.ndarray:
+    """Slot partners, one row per matching: v at u for an edge (u, v), else u itself."""
+    partner = np.tile(np.arange(n), (len(matchings), 1))
+    for b, M in enumerate(matchings):
+        for u, v in M:
+            partner[b, u], partner[b, v] = v, u
+    return partner
+
+
+def matching_orbits(
+    matchings: list[tuple[tuple[int, int], ...]], perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit number of each matching under a group of slot permutations, and one member per orbit.
+
+    ``perms`` lists the group, one row ``perm`` (slot s -> perm[s]) per
+    element.  A permutation maps a matching's partner row p to p' with
+    p'[perm[s]] = perm[p[s]]; an orbit is named by its least image read
+    as a base-n number, which int64 holds for n <= 15 slots.
+    """
+    n = perms.shape[1]
+    partner = matching_partners(matchings, n)
+    images = np.empty((len(perms),) + partner.shape, dtype=np.int64)
+    for g, perm in enumerate(perms):
+        images[g][:, perm] = perm[partner]
+    codes = (images @ n ** np.arange(n, dtype=np.int64)).min(axis=0)
+    _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
+    return orbit, first
+
+
 def count_matchings(n_modes: int) -> int:
     """Closed-form matching count: ``sum_k C(n, 2k) (2k-1)!!`` including empty."""
     total = 0
@@ -222,14 +253,11 @@ def is_connected_spanning(layout: ModeLayout, edges) -> bool:
 
 
 def _fingerprint_states() -> tuple[np.ndarray, np.ndarray]:
+    """Correlation matrices of the fingerprint pairs, drawn pair by pair."""
     rng = np.random.default_rng(_FINGERPRINT_SEED)
-    R1s, R2s = [], []
-    for _ in range(_FINGERPRINT_PAIRS):
-        for acc in (R1s, R2s):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = g @ g.conj().T
-            acc.append(to_correlation(rho / rho.trace().real))
-    return np.array(R1s), np.array(R2s)
+    R = to_correlation(ginibre_states(rng, (_FINGERPRINT_PAIRS, 2)))
+    R1s, R2s = R.swapaxes(0, 1).copy()
+    return R1s, R2s
 
 
 @lru_cache(maxsize=None)

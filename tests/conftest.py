@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The derivation battery is by far the most expensive thing the suite
-runs (about 20 s on a 2-core host with one BLAS thread), so it is
+runs (about 18 s on a 2-core host with one BLAS thread), so it is
 computed once per session and shared between the unit tests and the
 acceptance gate.
 """

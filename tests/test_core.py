@@ -6,6 +6,7 @@ from qoverlap.core import (
     assemble,
     bloch_vector,
     from_correlation,
+    ginibre_states,
     mode_swap_unitary,
     partial_trace,
     purity,
@@ -15,6 +16,13 @@ from qoverlap.core import (
     to_correlation,
     validate_density,
 )
+
+
+def loop_ginibre(rng, dim, r):
+    """One Ginibre state drawn as random_state drew it before the batch sampler."""
+    G = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    rho = G @ G.conj().T
+    return rho / rho.trace().real
 
 
 class TestValidation:
@@ -77,6 +85,13 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             from_correlation(R)
 
+    def test_stack_matches_per_state_matrices(self):
+        rhos = ginibre_states(np.random.default_rng(4), (3, 5))
+        R = to_correlation(rhos)
+        assert R.shape == (3, 5, 4, 4) and R.dtype == float
+        for i, j in np.ndindex(3, 5):
+            assert np.array_equal(R[i, j], to_correlation(rhos[i, j]))
+
     def test_bell_correlation_diagonal(self, bell):
         # Phi+ has R = diag(1, 1, -1, 1)
         R = to_correlation(bell)
@@ -102,6 +117,17 @@ class TestRandomStates:
         a = random_state(4, seed=123)
         b = random_state(4, seed=123)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim, rank", [(4, None), (4, 2), (2, None), (2, 1)])
+    def test_ginibre_matches_the_per_state_loop(self, dim, rank):
+        """random_state and a batch hold bitwise the states of the per-state draw."""
+        measure = "ginibre" if rank is None else "rank-constrained"
+        rng = np.random.default_rng(17)
+        want = [loop_ginibre(rng, dim, rank or dim) for _ in range(12)]
+        rng = np.random.default_rng(17)
+        got = [random_state(dim, measure, rng, rank=rank) for _ in range(6)]
+        got.extend(ginibre_states(rng, (2, 3), dim, rank).reshape(6, dim, dim))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_unitary_is_unitary(self):
         U = random_unitary(4, np.random.default_rng(5))

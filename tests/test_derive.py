@@ -27,7 +27,12 @@ from qoverlap.derive import (
     fit_coefficients,
     verify_table_claims,
 )
-from qoverlap.graphs import exact_numerators, probability_exact
+from qoverlap.graphs import (
+    enumerate_matchings,
+    exact_numerators,
+    matching_orbits,
+    probability_exact,
+)
 
 
 def fresh_ensemble(n, seed):
@@ -36,6 +41,13 @@ def fresh_ensemble(n, seed):
     R1s = np.stack([to_correlation(a) for a, _ in pairs])
     R2s = np.stack([to_correlation(b) for _, b in pairs])
     return pairs, R1s, R2s
+
+
+def loop_ginibre(rng):
+    """One Ginibre state drawn as random_state drew it before the batch sampler."""
+    G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = G @ G.conj().T
+    return rho / rho.trace().real
 
 
 def distinct_classes(fit):
@@ -84,6 +96,26 @@ class TestTargets:
         assert TARGETS["o2"](a, b) == pytest.approx(
             float(np.trace(np.linalg.matrix_power(a @ b, 2)).real), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "measure, rank", [("ginibre", None), ("pure", None), ("rank-constrained", 2)]
+    )
+    def test_stacked_values_match_pair_calls(self, measure, rank):
+        rng = np.random.default_rng(9)
+        rhos1, rhos2 = (
+            np.array([random_state(4, measure, rng, rank=rank) for _ in range(40)])
+            for _ in range(2)
+        )
+        for name, target in TARGETS.items():
+            stacked = target(rhos1, rhos2)
+            assert np.shape(stacked) == (() if name == "one" else (40,)), name
+            want = np.array([target(a, b) for a, b in zip(rhos1, rhos2)])
+            assert np.array_equal(np.full(40, stacked), want), name
+
+    def test_pair_call_returns_a_python_float(self):
+        a, b = random_state(4, seed=1), random_state(4, seed=2)
+        for name, target in TARGETS.items():
+            assert type(target(a, b)) is float, name
 
 
 class TestStandaloneFits:
@@ -326,6 +358,28 @@ class TestCompressedSolves:
         assert len(matchings) == 76
         G = _matching_gram(matchings, 6)
         assert np.array_equal(G, union_find_gram(matchings, 6))
+        assert np.array_equal(_matching_gram(matchings, 6, [5, 0, 5]), G[[5, 0, 5]])
+
+    def test_sample_ensemble_matches_the_per_state_loop(self):
+        """Fit then held-out ensembles, each all first states then all second states."""
+        rng = np.random.default_rng(31)
+        want = [[loop_ginibre(rng) for _ in range(n)] for n in (30, 30, 10, 10)]
+        rng = np.random.default_rng(31)
+        got = [derive._sample_ensemble(rng, n) for n in (30, 10)]
+        for (R1s, R2s, rhos1, rhos2), loop1, loop2 in zip(got, want[::2], want[1::2]):
+            assert np.array_equal(rhos1, np.array(loop1))
+            assert np.array_equal(rhos2, np.array(loop2))
+            assert np.array_equal(R1s, np.array([to_correlation(r) for r in loop1]))
+            assert np.array_equal(R2s, np.array([to_correlation(r) for r in loop2]))
+
+    def test_design_cache_gains_no_entry_on_repeated_derivations(self, monkeypatch):
+        monkeypatch.setattr(derive, "_DESIGN_CACHE", {})
+        sizes = []
+        for _ in range(3):
+            derive_targets(["o12", "pi2"], seed=3)
+            sizes.append(len(derive._DESIGN_CACHE))
+        assert sizes == [1, 1, 1]
+        assert build_basis(4) is build_basis(4)
 
     def test_integer_probabilities_match_fraction_reference(self):
         basis = design(4)[0]
@@ -363,6 +417,65 @@ class TestCompressedSolves:
                 exact = target(q1, q2, EXACT)
                 assert isinstance(exact, Fraction), name
                 assert float(exact) == pytest.approx(target(rho1, rho2), abs=1e-12), name
+
+
+@lru_cache(maxsize=None)
+def reference_kernel(k):
+    """The trace-kernel expansion by one minimum-norm solve on the full Gram system."""
+    n = 2 * k
+    t = derive._trace_tensor(k)
+    kern = np.multiply.outer(t, t).real
+    matchings = enumerate_matchings(list(range(n)))
+    rhs = np.array([kern[derive._matching_indices(M, n)].sum() for M in matchings])
+    c, *_ = np.linalg.lstsq(_matching_gram(matchings, n), rhs, rcond=None)
+    return matchings, c
+
+
+class TestTraceKernel:
+    """The orbit solve of the trace kernel against the full solve."""
+
+    @pytest.mark.parametrize("k, distinct", [(2, 8), (3, 36), (4, 64)])
+    def test_symmetries_fix_the_kernel(self, k, distinct):
+        t = derive._trace_tensor(k)
+        kern = np.multiply.outer(t, t).real
+        perms = {tuple(p) for p in derive._slot_symmetries(k)}
+        assert len(perms) == distinct
+        assert {tuple(np.array(p)[list(q)]) for p in perms for q in perms} == perms
+        for perm in perms:
+            assert np.array_equal(kern.transpose(perm), kern), perm
+
+    @pytest.mark.parametrize("k, orbits", [(2, 5), (3, 10), (4, 42)])
+    def test_coefficients_are_constant_on_orbits(self, k, orbits):
+        matchings, c = _matching_kernel(k)
+        assert len(set(matching_orbits(matchings, derive._slot_symmetries(k))[0])) == orbits
+        index = {M: a for a, M in enumerate(matchings)}
+        for perm in derive._slot_symmetries(k).tolist():
+            for a, M in enumerate(matchings):
+                image = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in M))
+                assert c[index[image]] == c[a]
+        assert np.abs(c - reference_kernel(k)[1]).max() < 1e-9
+
+    def test_supports_match_the_full_solve(self, monkeypatch):
+        bases = (build_basis(2), build_basis(4))
+        got = {(b.max_copies, t): _symbolic_support(t, b) for b in bases for t in TARGETS}
+        derive._word_monomials.cache_clear()
+        try:
+            monkeypatch.setattr(derive, "_matching_kernel", reference_kernel)
+            want = {(b.max_copies, t): _symbolic_support(t, b) for b in bases for t in TARGETS}
+        finally:
+            derive._word_monomials.cache_clear()
+        assert got == want
+
+    def test_support_totals_stand_clear_of_noise(self):
+        """The 1e-9 cut between kept and dropped monomials falls in a wide gap."""
+        for name, target in TARGETS.items():
+            total = {}
+            for weight, word in target.words:
+                for mono, v in derive._word_monomials(word).items():
+                    total[mono] = total.get(mono, 0.0) + weight * v
+            v = np.abs(np.array(list(total.values())))
+            assert v[v >= 1e-9].min(initial=1.0) >= 1e-2, name
+            assert v[v < 1e-9].max(initial=0.0) <= 1e-12, name
 
 
 class TestBattery:

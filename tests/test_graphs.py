@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.graphs import (
     MeasurementGraph,
+    _FINGERPRINT_PAIRS,
+    _FINGERPRINT_SEED,
     _copy_operands,
     _einsum_recipe,
     _fingerprint_states,
@@ -69,6 +71,20 @@ def reference_class_keys(max_copies):
     for g in sorted(classes.values(), key=order):
         seen.setdefault(tuple(np.round(probability_batch(g, R1s, R2s), 10)), g)
     return [g.key() for g in sorted(seen.values(), key=order)]
+
+
+def test_fingerprint_states_match_the_pair_loop():
+    """The batch draw reproduces the pair-by-pair loop, state 1 then state 2, bitwise."""
+    rng = np.random.default_rng(_FINGERPRINT_SEED)
+    R1s, R2s = [], []
+    for _ in range(_FINGERPRINT_PAIRS):
+        for acc in (R1s, R2s):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T
+            acc.append(to_correlation(rho / rho.trace().real))
+    got = _fingerprint_states()
+    assert all(R.flags.c_contiguous for R in got)
+    assert np.array_equal(got[0], np.array(R1s)) and np.array_equal(got[1], np.array(R2s))
 
 
 @st.composite
