@@ -182,6 +182,8 @@ def _distance_payload(args) -> tuple[dict, int]:
     if args.simulate is not None:
         if args.simulate <= 0:
             raise ValueError(f"--simulate needs a positive shot count, got {args.simulate}")
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         forms = measurement_forms()
         rep = estimate_distances(
             rho1,
@@ -400,6 +402,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--shots needs positive integers, got {args.shots!r}")
     if args.pairs <= 0:
         raise ValueError(f"--pairs must be positive, got {args.pairs}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
     forms = measurement_forms()
     needed = [g for form in forms.values() for _, graphs in form for g in graphs]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, product, takewhile
+from math import prod
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -42,8 +43,6 @@ __all__ = [
     "fit_coefficients",
     "derive_targets",
     "measurement_forms",
-    "overlap_form",
-    "pi2_form",
     "Claim",
     "ClaimReport",
     "verify_table_claims",
@@ -262,66 +261,6 @@ def build_basis(max_copies: int) -> MonomialBasis:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (rederived directly from the Bloch expansion)
-# ---------------------------------------------------------------------------
-
-
-def _pair_graphs(n1: int, n2: int) -> tuple[MeasurementGraph, MeasurementGraph, MeasurementGraph]:
-    """The a-a edge, b-b edge, and double-edge graphs between two copies."""
-    layout = ModeLayout.standard(n1, n2)
-    ga = MeasurementGraph(layout, [(0, 2)]).canonical()
-    gb = MeasurementGraph(layout, [(1, 3)]).canonical()
-    gab = MeasurementGraph(layout, [(0, 2), (1, 3)]).canonical()
-    return ga, gb, gab
-
-
-def overlap_form(s: int, t: int) -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
-    """Tr(rho_s rho_t) as 1 - 2 p_a - 2 p_b + 4 p_ab.
-
-    Splitting the Bloch sum (1/4) sum_mn R1[m,n] R2[m,n] by whether each
-    index is zero turns it into the three coincidence statistics between
-    the copies' a modes, b modes, and both at once.
-    """
-    n1 = (s == 1) + (t == 1)
-    n2 = (s == 2) + (t == 2)
-    ga, gb, gab = _pair_graphs(n1, n2)
-    return [(1.0, ()), (-2.0, (ga,)), (-2.0, (gb,)), (4.0, (gab,))]
-
-
-def _closed_form(words) -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
-    """A combination of two-factor words as the sum of their overlap forms.
-
-    Terms that cancel are dropped; no words at all is the constant 1.
-    """
-    if not words:
-        return [(1.0, ())]
-    acc: dict[tuple, tuple[float, tuple[MeasurementGraph, ...]]] = {}
-    for weight, (s, t) in words:
-        for coeff, graphs in overlap_form(s, t):
-            key = tuple(g.key() for g in graphs)
-            old = acc.get(key, (0.0, graphs))[0]
-            acc[key] = (old + weight * coeff, graphs)
-    return [(c, gs) for c, gs in acc.values() if abs(c) > 1e-15]
-
-
-def pi2_form() -> list[tuple[float, tuple[MeasurementGraph, ...]]]:
-    """Tr[(rho1-rho2)^2] over nine graphs; the constants cancel."""
-    return _closed_form(TARGETS["pi2"].words)
-
-
-def _closed_form_support(target: str, basis: MonomialBasis) -> list[int] | None:
-    """Known-support seed for the search, where the algebra gives one."""
-    words = TARGETS[target].words
-    if any(len(w) != 2 for _, w in words):
-        return None
-    idx = {
-        basis.monomials.index(tuple(sorted(basis.index_of_graph(g) for g in graphs)))
-        for _, graphs in _closed_form(words)
-    }
-    return sorted(idx)
-
-
-# ---------------------------------------------------------------------------
 # Systematic supports: Pauli trace kernels expanded over slot matchings
 # ---------------------------------------------------------------------------
 #
@@ -492,9 +431,17 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
 
 
 def _symbolic_support(target: str, basis: MonomialBasis) -> list[int] | None:
-    """Candidate monomial support assembled from the word expansion."""
+    """Candidate monomial support of ``target``, from its word expansion.
+
+    The monomials whose total over the target's signed words is not
+    rounding noise; an empty expansion (the constant target) is the
+    constant monomial.  None when a word is longer than the basis has
+    copies, since its monomials are then not in the basis.
+    """
     words = TARGETS[target].words
-    if not words or max(len(w) for _, w in words) > basis.max_copies:
+    if not words:
+        return [basis.monomials.index(())]
+    if max(len(w) for _, w in words) > basis.max_copies:
         return None
     total: dict[tuple[tuple, ...], float] = {}
     for weight, word in words:
@@ -564,34 +511,6 @@ def _rat_correlation(rho: _Rational) -> list[list[Fraction]]:
     re, im = rho.re.astype(np.int64), rho.im.astype(np.int64)
     N = np.einsum("ij,mnji->mn", re, _P2_RE) - np.einsum("ij,mnji->mn", im, _P2_IM)
     return [[Fraction(int(v), rho.den) for v in row] for row in N]
-
-
-def _rat_solve(A: list[list[Fraction]], y: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when the system is inconsistent."""
-    rows = [row[:] + [yi] for row, yi in zip(A, y)]
-    n_cols = len(A[0])
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in rows):
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, c in pivots:
-        x[c] = rows[r][-1]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -819,19 +738,22 @@ def fit_coefficients(
     """Fit ``target`` as a sparse rational combination of basis monomials.
 
     Random Ginibre state pairs give an overdetermined linear system for
-    the monomial coefficients.  Candidate supports come from the closed
-    forms (first-order overlaps) and from the Pauli-trace-kernel
-    expansion; each that fits exactly is pruned to a locally minimal
-    support, and a target with no such seed raises :class:`ResidualError`.
-    The monomials are linearly dependent on the four-copy basis, so
-    solutions are non-unique and flagged as such; the candidate with the
-    fewest distinct graph classes wins.  With
-    ``prefer_classes`` the search additionally bans classes outside that
-    set whenever a representation survives without them (used to keep
-    the moment workflows on a shared class set).  Coefficients within
-    1e-7 of a third are snapped, the snapped identity is certified with
-    exact rational arithmetic on integer-valued random states, and the
-    fit must reproduce the target on 500 held-out pairs to 1e-8, else
+    the monomial coefficients.  The candidate support comes from the
+    Pauli-trace-kernel word expansion (:func:`_symbolic_support`); with
+    ``prefer_classes`` a second one comes from banning classes outside
+    that set whenever a representation survives without them
+    (:func:`_avoid_classes`, used to keep the moment workflows on a
+    shared class set).  Each candidate that fits exactly is pruned to a
+    locally minimal support, and a target with none raises
+    :class:`ResidualError`.  The monomials are linearly dependent on the
+    four-copy basis, so solutions are non-unique and flagged as such;
+    the candidate with the fewest distinct graph classes wins.
+    Coefficients within 1e-7 of a third are snapped, and the snapped
+    identity is checked with exact rational arithmetic on
+    ``EXACT_CHECK_PAIRS`` random rational state pairs.  On a mismatch
+    the fit keeps its float least-squares coefficients and is flagged
+    neither rational nor certified.  Either way the fit must reproduce
+    the target on 500 held-out pairs to 1e-8, else
     :class:`ResidualError`.
     """
     if target not in TARGETS:
@@ -845,7 +767,7 @@ def fit_coefficients(
     y = np.full(len(rhos1), oracle(rhos1, rhos2))
     non_unique = rank < basis.n_monomials
 
-    seeds = [_closed_form_support(target, basis), _symbolic_support(target, basis)]
+    seeds = [_symbolic_support(target, basis)]
     if prefer_classes is not None:
         seeds.append(_avoid_classes(A, y, basis, prefer_classes))
     candidates: list[list[int]] = []
@@ -888,41 +810,20 @@ def fit_coefficients(
             entries[k] = float(c)
             all_rational = False
 
-    # Certify exactly on rational states; re-solve exactly if that fails.
+    # Certify exactly on rational states; a mismatch keeps the float fit.
     exact_certified = False
     if all_rational and entries:
-        keys = sorted(entries)
-        support_classes = sorted(basis.classes(keys))
+        support_classes = sorted(basis.classes(entries))
         crng = np.random.default_rng(seed + 1)
-        n_pairs = max(EXACT_CHECK_PAIRS, len(keys) + 8)
-        rows, rhs = [], []
-        ok = True
-        for pair_no in range(n_pairs):
+        for _ in range(EXACT_CHECK_PAIRS):
             q1, q2 = _rational_state(crng), _rational_state(crng)
             QR1, QR2 = (exact_numerators(_rat_correlation(q)) for q in (q1, q2))
             probs = {i: probability_exact(basis.graphs[i], QR1, QR2) for i in support_classes}
-            row = []
-            for k in keys:
-                acc = Fraction(1)
-                for i in basis.monomials[k]:
-                    acc *= probs[i]
-                row.append(acc)
-            t = oracle(q1, q2, EXACT)
-            rows.append(row)
-            rhs.append(t)
-            if sum(entries[k] * v for k, v in zip(keys, row)) != t:
-                ok = False
-            if ok and pair_no + 1 == EXACT_CHECK_PAIRS:
-                break
-        if not ok:
-            solved = _rat_solve(rows, rhs)
-            if solved is not None and all(
-                sum(x * v for x, v in zip(solved, row)) == t for row, t in zip(rows, rhs)
-            ):
-                entries = {k: x for k, x in zip(keys, solved) if x != 0}
-            else:
+            value = sum(c * prod(probs[i] for i in basis.monomials[k]) for k, c in entries.items())
+            if value != oracle(q1, q2, EXACT):
                 all_rational = False
                 entries = {k: float(c) for k, c in zip(support, coef) if abs(c) > 1e-10}
+                break
         exact_certified = all_rational
 
     # Held-out validation on fresh pairs (graph probabilities reused

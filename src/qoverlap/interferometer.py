@@ -491,6 +491,8 @@ def estimate_distances(
         raise ValueError(f"shots must be at least 1, got {shots}")
     if bootstrap < 2:
         raise ValueError(f"bootstrap must be at least 2 draws for a spread, got {bootstrap}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     missing = [n for n in STAT_NAMES if n not in forms]

@@ -6,11 +6,13 @@ computed once per session and shared between the unit tests and the
 acceptance gate.
 """
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qoverlap.derive as derive
 from qoverlap import derive_targets, plan_configurations
 from qoverlap.interferometer import STAT_NAMES
 
@@ -34,6 +36,14 @@ def plan(forms):
     """Configuration plan covering every graph any statistic needs."""
     needed = [g for form in forms.values() for _, graphs in form for g in graphs]
     return plan_configurations(needed)
+
+
+@pytest.fixture()
+def exact_traces_off(monkeypatch):
+    """Every exact trace shifted by 1e-9, so no snapped fit of a trace certifies."""
+    exact = derive.EXACT
+    shifted = exact._replace(trace=lambda x: exact.trace(x) + Fraction(1, 10**9))
+    monkeypatch.setattr(derive, "EXACT", shifted)
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,10 @@ KET00 = {
 }
 
 
+def never_derive(**kw):
+    raise AssertionError("the derivation ran before the arguments were checked")
+
+
 class TestDistance:
     def test_worked_pair_text(self, capsys):
         assert cli.main(["distance", BELL, MIXED]) == 0
@@ -110,6 +114,15 @@ class TestDistance:
         assert cli.main(["distance", BELL, MIXED, "--simulate", "0"]) == 1
         assert "positive shot count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_simulate_rejects_threads_below_one_before_deriving(
+        self, threads, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "measurement_forms", never_derive)
+        argv = ["distance", BELL, MIXED, "--simulate", "1000", "--threads", threads]
+        assert cli.main(argv) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_single_target_table(self, capsys):
@@ -152,6 +165,12 @@ class TestDerive:
         assert out.count("# target: ") == len(fits) and "| stated " in out  # tables and report
         assert out.count("certified False") == 1
         assert "not certified" in err and "pi3" in err
+
+    def test_failed_certification_exits_three_after_the_table(self, exact_traces_off, capsys):
+        assert cli.main(["derive", "--target", "pi2"]) == 3
+        out, err = capsys.readouterr()
+        assert "# target: pi2" in out and "certified False" in out
+        assert "not certified" in err and "pi2" in err
 
     def test_all_targets_print_the_golden_tables(self, fits, monkeypatch, capsys):
         """The battery's tables and claim report, minus the run-specific lines."""
@@ -223,6 +242,12 @@ class TestSweep:
     def test_bad_pairs_validation(self, forms, monkeypatch):
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
         assert cli.main(["sweep", "--pairs", "0", "--shots", "100"]) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected_before_deriving(self, threads, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "measurement_forms", never_derive)
+        assert cli.main(["sweep", "--pairs", "2", "--shots", "100", "--threads", threads]) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 class TestVersionFlag:

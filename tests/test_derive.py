@@ -13,7 +13,6 @@ from qoverlap.derive import (
     FIT_TOL,
     TARGETS,
     ResidualError,
-    _closed_form_support,
     _design_context,
     _matching_gram,
     _matching_kernel,
@@ -162,6 +161,17 @@ class TestStandaloneFits:
         with pytest.raises(ResidualError, match="no candidate support found for 'o2'"):
             fit_coefficients("o2", build_basis(2), samples=600)
 
+    def test_constant_seed_is_the_constant_monomial(self):
+        for basis in (build_basis(2), build_basis(4)):
+            assert [basis.monomials[k] for k in _symbolic_support("one", basis)] == [()]
+
+    def test_failed_certification_keeps_the_float_fit(self, exact_traces_off):
+        fit = fit_coefficients("pi2", build_basis(2), samples=600)
+        assert not fit.exact_certified and not fit.all_rational
+        assert len(fit.entries) == 9
+        assert all(type(c) is float for c in fit.entries.values())
+        assert fit.residual < derive.HOLDOUT_TOL  # the float fit passed held-out validation
+
 
 def reference_prune(A, y, support, basis=None, prefer=None, factored=False):
     """The restart scan: one removal per round, every candidate retried.
@@ -293,7 +303,7 @@ class TestCompressedSolves:
         prefer = None
         if prefer_target:
             two = build_basis(2)
-            classes = two.classes(_closed_form_support(prefer_target, two))
+            classes = two.classes(_symbolic_support(prefer_target, two))
             prefer = frozenset(basis.index_of_graph(two.graphs[i]) for i in classes)
         got = _prune(A, y, support, basis, prefer)
         assert got == reference_prune(A, y, support, basis, prefer)
@@ -316,7 +326,7 @@ class TestCompressedSolves:
         monkeypatch.setattr(derive, "_DESIGN_CACHE", {})
         monkeypatch.setattr(derive, "_prune", checked)
         derive_targets([t for t in TARGETS if t != "pi4"], seed=seed)
-        assert len(calls) == 16
+        assert len(calls) == 12  # one seed per target
         assert [got for _, got, _ in calls] == [ref for _, _, ref in calls]
         assert sum(len(got) for _, got, _ in calls) < sum(n for n, _, _ in calls)
 
@@ -495,6 +505,18 @@ class TestBattery:
             assert fit.all_rational, name
             assert fit.exact_certified, name
             assert fit.denominators_divide_3, name
+
+    @pytest.mark.parametrize("target, layout", [("o11", "2x0"), ("o22", "0x2"), ("o12", "1x1")])
+    def test_overlaps_are_the_pair_identity(self, fits, target, layout):
+        """Tr(rho_s rho_t) = 1 - 2 p_a - 2 p_b + 4 p_ab (Ekert et al., PRL 88, 217901)."""
+        fit = fits[target]
+        got = {fit.basis.monomial_string(k): c for k, c in fit.entries.items()}
+        assert got == {
+            "1": 1,
+            f"g[{layout}:(0-2)]": -2,
+            f"g[{layout}:(1-3)]": -2,
+            f"g[{layout}:(0-2)(1-3)]": 4,
+        }
 
     def test_four_copy_fits_flag_non_uniqueness(self, fits):
         assert fits["o2"].non_unique

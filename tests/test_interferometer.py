@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qoverlap.core import ModeLayout, random_state, to_correlation
-from qoverlap.derive import pi2_form
+from qoverlap.derive import _symbolic_support, build_basis
 from qoverlap.graphs import MeasurementGraph, probability_batch
 from qoverlap.interferometer import (
     STAT_NAMES,
@@ -28,7 +28,9 @@ def pair():
 
 
 def pi2_graphs():
-    return sorted({g for _, gs in pi2_form() for g in gs}, key=lambda g: g.key())
+    basis = build_basis(2)
+    classes = basis.classes(_symbolic_support("pi2", basis))
+    return sorted((basis.graphs[i] for i in classes), key=lambda g: g.key())
 
 
 class TestGraphProbability:
@@ -343,7 +345,10 @@ class TestEstimation:
         assert by_name["trace-distance"].std_err > 0.01
         assert rep.audit_ok
 
-    @pytest.mark.parametrize("kwargs", [{"bootstrap": 1}, {"bootstrap": 0}, {"shots": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"bootstrap": 1}, {"bootstrap": 0}, {"shots": 0}, {"threads": 0}, {"threads": -3}],
+    )
     def test_too_few_draws_or_shots_rejected(self, forms, plan, bell, mixed, kwargs):
         args = {"shots": 100, **kwargs}
         with pytest.raises(ValueError, match=next(iter(kwargs))):
