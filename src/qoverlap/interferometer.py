@@ -6,7 +6,8 @@ all-singlet coincidence frequency estimates the graph probability.  One
 prepared configuration member yields the joint outcome pattern of all its
 edges, so every sub-graph statistic comes out of the same counts.  The
 simulation computes each member's exact pattern distribution with one
-contraction that carries an outcome axis per edge, draws the patterns
+contraction that carries an outcome axis per edge (its einsum steps
+recorded once per graph and replayed), draws the patterns
 multinomially, reads every sub-graph frequency and covariance off one
 superset sum of the counts, and propagates shot noise through the
 distance formulas.
@@ -17,10 +18,12 @@ outcome).
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,23 +110,97 @@ _OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
 
 
 @lru_cache(maxsize=None)
-def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple, list]:
-    """Subscripts, copy plan and einsum path of a graph's pattern contraction.
+def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple, list, tuple]:
+    """Subscripts, copy plan, einsum path and recorded steps of a graph's pattern contraction.
 
     :func:`_einsum_recipe`'s subscripts with an outcome axis added to
     every edge factor; the outputs list edge E-1 first, so the flattened
-    result is indexed by edge bitmask.  Planned once per graph.
+    result is indexed by edge bitmask.  The path is planned once per
+    graph, and each of its steps is recorded as the call that
+    ``np.einsum(spec, ..., optimize=path)`` makes for it: one ``einsum``
+    over a single operand or three and more, :func:`_pair_step` for two.
+    Replaying the steps (:func:`_replay`) gives the same bits without
+    re-planning the path on every call.
     """
     spec, copy_plan = _einsum_recipe(graph)
     subs = spec.split("->")[0].split(",")
     outcomes = "ABCDEFGH"[: graph.n_edges]
-    edge_subs = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])]
-    spec = ",".join(edge_subs + subs[graph.n_edges :]) + "->s" + outcomes[::-1]
-    shapes = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(
+    terms = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])] + subs[graph.n_edges :]
+    out = "s" + outcomes[::-1]
+    spec = ",".join(terms) + "->" + out
+    operands = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(
         copy_plan, np.zeros((1, 4, 4)), np.zeros((1, 4, 4))
     )
-    path, _ = np.einsum_path(spec, *shapes, optimize="greedy")
-    return spec, copy_plan, path
+    path, _ = np.einsum_path(spec, *operands, optimize="greedy")
+    size = {ix: d for t, op in zip(terms, operands) for ix, d in zip(t, op.shape)}
+    steps = []
+    for n, inds in enumerate(path[1:], 2):
+        inds = tuple(sorted(inds, reverse=True))
+        inputs = [terms.pop(k) for k in inds]
+        # numpy's intermediate keeps the indices still needed, by (size, letter)
+        needed = set("".join(terms) + out)
+        kept = {ix for t in inputs for ix in t if ix in needed}
+        result = out if n == len(path) else "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
+        eq = ",".join(inputs) + "->" + result
+        if len(inputs) == 2:
+            step = _pair_step(eq, size)
+        else:
+            step = partial(np.einsum, eq)
+        steps.append((inds, step))
+        terms.append(result)
+    return spec, copy_plan, path, tuple(steps)
+
+
+def _pair_step(eq: str, size: dict):
+    """A two-operand step of ``np.einsum(..., optimize=path)``, made with numpy's calls.
+
+    numpy contracts a pair by transposing each operand with a
+    one-operand ``einsum`` (size-1 axes dropped) and fusing its axes
+    into (batch, kept, summed) groups, then one ``matmul``, or one
+    broadcast ``multiply`` when nothing is summed, and a reshape and
+    transpose of the product.  Making the same calls on the same
+    layouts gives the same bits.  Each index occurs once per term, as
+    in every pattern contraction.
+    """
+    lhs, out = eq.split("->")
+    ta, tb = lhs.split(",")
+    left, right = ([ix for ix in t if size[ix] > 1] for t in (ta, tb))
+    summed = [ix for ix in left if ix in right and ix not in out]
+    if summed:
+        batch = [ix for ix in left if ix in right and ix in out]
+        keep_a = [ix for ix in left if ix not in right and ix in out]
+        keep_b = [ix for ix in right if ix not in left and ix in out]
+        lead = [batch] if batch else []
+        terms = [(ta, lead + [keep_a, summed]), (tb, lead + [summed, keep_b])]
+        prepared = [
+            (f"{t}->{''.join(sum(groups, []))}", tuple(math.prod(size[ix] for ix in g) for g in groups))
+            for t, groups in terms
+        ]
+        product = "".join([ix for ix in out if size[ix] == 1] + batch + keep_a + keep_b)
+        combine = np.matmul
+    else:  # a broadcast product in output order
+        prepared = [
+            (f"{t}->{''.join(ix for ix in out if ix in t)}", tuple(size[ix] if ix in t else 1 for ix in out))
+            for t in (ta, tb)
+        ]
+        product, combine = out, np.multiply
+    (eq_a, shape_a), (eq_b, shape_b) = prepared
+    shape = tuple(size[ix] for ix in product)
+    perm = tuple(product.index(ix) for ix in out)
+
+    def step(a, b):
+        a = np.einsum(eq_a, a).reshape(shape_a)
+        b = np.einsum(eq_b, b).reshape(shape_b)
+        return combine(a, b).reshape(shape).transpose(perm)
+
+    return step
+
+
+def _replay(steps: tuple, operands: list) -> np.ndarray:
+    """Run recorded contraction steps, each on the operands it pops, result appended."""
+    for inds, step in steps:
+        operands.append(step(*[operands.pop(k) for k in inds]))
+    return operands[0]
 
 
 def _superset_sums(v: np.ndarray) -> np.ndarray:
@@ -147,9 +224,9 @@ def pattern_distribution(
     edges in ``m`` antibunch, one contraction over the graph's copies;
     ``subset_probs[m]``, its superset sum, that at least they do.
     """
-    spec, copy_plan, path = _pattern_contraction(graph)
+    _, copy_plan, _, steps = _pattern_contraction(graph)
     operands = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
-    pattern = np.einsum(spec, *operands, optimize=path).reshape(-1) / 4.0**graph.n_edges
+    pattern = _replay(steps, operands).reshape(-1) / 4.0**graph.n_edges
     if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
         raise ValueError(
             f"joint pattern distribution invalid: min {pattern.min():.3e}, "
@@ -221,6 +298,8 @@ class ConfigurationPlan:
     free: tuple[MeasurementGraph, ...]
     configurations: tuple[Configuration, ...]
     hosts: dict  # canonical key -> (config index, member index, edge-index tuple)
+    #: Estimator arrays built from this plan at its first estimate (see :func:`_compiled`).
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def photon_pairs(self) -> int:
@@ -352,29 +431,42 @@ def _sample_plan(plan, R1, R2, shots, seed, threads):
     return dict(results)
 
 
-def _graph_estimates(plan, counts, shots):
-    """Estimates and covariance of every planned graph probability.
+def _host_arrays(plan: ConfigurationPlan) -> tuple[list, list]:
+    """The plan's graph keys, and per hosting member what :func:`_graph_estimates` reads.
 
-    Within one member, Cov(p_X, p_Y) = (p_{X union Y} - p_X p_Y)/N with
-    the union read off the same counts; across members everything is
-    independent by construction.
+    For each member: the positions in ``plan.graphs`` of the graphs it
+    hosts, their edge bitmasks, the bitmask of every pair's union, and
+    the covariance block the pairs fill.
     """
     keys = [g.key() for g in plan.graphs]
     hosted: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, key in enumerate(keys):
         ci, mi, emb = plan.hosts[key]
         hosted.setdefault((ci, mi), []).append((a, sum(1 << k for k in emb)))
-
-    phat = {}
-    cov = np.zeros((len(keys), len(keys)))
+    members = []
     for member, graphs in hosted.items():
-        at_least = _superset_sums(counts[member])
         idx, masks = (np.array(col) for col in zip(*graphs))
+        members.append((member, idx, masks, masks[:, None] | masks[None, :], np.ix_(idx, idx)))
+    return keys, members
+
+
+def _graph_estimates(hosts, counts, shots):
+    """Estimates, in ``plan.graphs`` order, and covariance of every planned graph probability.
+
+    ``hosts`` is :func:`_host_arrays` of the plan.  Within one member,
+    Cov(p_X, p_Y) = (p_{X union Y} - p_X p_Y)/N with the union read off
+    the same counts; across members everything is independent by
+    construction.
+    """
+    keys, members = hosts
+    phat = np.empty(len(keys))
+    cov = np.zeros((len(keys), len(keys)))
+    for member, idx, masks, union, block in members:
+        at_least = _superset_sums(counts[member])
         p = at_least[masks] / shots
-        p_union = at_least[masks[:, None] | masks[None, :]] / shots
-        cov[np.ix_(idx, idx)] = (p_union - np.outer(p, p)) / shots
-        phat.update(zip((keys[a] for a in idx), p))
-    return keys, phat, cov
+        cov[block] = (at_least[union] / shots - np.outer(p, p)) / shots
+        phat[idx] = p
+    return phat, cov
 
 
 @lru_cache(maxsize=None)
@@ -382,14 +474,25 @@ def _canonical_key(graph: MeasurementGraph) -> tuple:
     return graph.canonical().key()
 
 
-def _stat_values(forms, keys, phat, cov):
-    """Delta-method values and covariance of the statistics vector.
+class _FormArrays(NamedTuple):
+    """The forms as index arrays over the plan's graph estimates (see :func:`_form_arrays`)."""
+
+    names: list[str]
+    factors: np.ndarray      # (monomial, slot) -> estimate index, ``len(keys)`` reads 1.0
+    rows: np.ndarray         # monomial -> statistic
+    coeffs: np.ndarray
+    own_slot: np.ndarray     # (slot, slot) identity mask
+    factor_at: tuple         # (monomial, slot) of every real factor
+    jacobian_at: np.ndarray  # its flat (statistic, estimate) Jacobian index
+    jacobian_coeffs: np.ndarray
+
+
+def _form_arrays(forms, keys) -> _FormArrays:
+    """Index arrays of the forms' monomials over the graph keys, checked against them.
 
     Each monomial is one row of a factor-index matrix padded with an
-    index that reads 1.0; values and Jacobian entries are row products,
-    accumulated in monomial order.  Monomial products of graph estimates
-    are used directly; their O(1/N) multiplicative bias is accepted and
-    documented.
+    index that reads 1.0.  A graph missing from ``keys`` raises
+    :class:`PlanError` naming the statistic whose form needs it.
     """
     index = {key: i for i, key in enumerate(keys)}
     names = [n for n in STAT_NAMES if n in forms]
@@ -409,15 +512,54 @@ def _stat_values(forms, keys, phat, cov):
     one, width = len(keys), max(map(len, factors))
     F = np.array([f + [one] * (width - len(f)) for f in factors], dtype=int)
     rows, coeffs = np.array(rows), np.array(coeffs)
-    vals = np.append([phat[key] for key in keys], 1.0)[F]
-    values = np.bincount(rows, weights=coeffs * vals.prod(axis=1), minlength=len(names))
-    # product of the other factors: 1.0 in the factor's own slot
-    rest = np.where(np.eye(width, dtype=bool), 1.0, vals[:, None, :]).prod(axis=2)
     m, k = np.nonzero(F < one)
-    J = np.zeros((len(names), len(keys)))
-    np.add.at(J, (rows[m], F[m, k]), coeffs[m] * rest[m, k])
+    return _FormArrays(
+        names, F, rows, coeffs, np.eye(width, dtype=bool), (m, k), rows[m] * one + F[m, k], coeffs[m]
+    )
+
+
+def _compiled(plan: ConfigurationPlan, forms) -> tuple[tuple, _FormArrays]:
+    """The plan's :func:`_host_arrays` and the forms' :func:`_form_arrays`.
+
+    Both are built at the plan's first estimate and kept on the plan.
+    The form arrays are rebuilt whenever the forms differ by value from
+    the ones they were built from, so an edited form never meets stale
+    arrays.  Each entry is stored whole, together with the forms it was
+    built from, so estimates racing on one plan at worst build twice.
+    """
+    cache = plan._arrays
+    hosts = cache.get("hosts")
+    if hosts is None:
+        hosts = cache["hosts"] = _host_arrays(plan)
+    snapshot = tuple(
+        (n, tuple((c, tuple(gs)) for c, gs in forms[n])) for n in STAT_NAMES if n in forms
+    )
+    built = cache.get("forms")
+    if built is None or built[0] != snapshot:
+        built = cache["forms"] = (snapshot, _form_arrays(forms, hosts[0]))
+    return hosts, built[1]
+
+
+def _stat_values(arrays: _FormArrays, phat, cov):
+    """Delta-method values and covariance of the statistics vector.
+
+    Values and Jacobian entries are row products of the estimates read
+    through ``arrays``' factor indices, accumulated in monomial order.
+    Monomial products of graph estimates are used directly; their O(1/N)
+    multiplicative bias is accepted and documented.
+    """
+    n_stats, n = len(arrays.names), len(phat)
+    vals = np.append(phat, 1.0)[arrays.factors]
+    values = np.bincount(arrays.rows, weights=arrays.coeffs * vals.prod(axis=1), minlength=n_stats)
+    # product of the other factors: 1.0 in the factor's own slot
+    rest = np.where(arrays.own_slot, 1.0, vals[:, None, :]).prod(axis=2)
+    J = np.bincount(
+        arrays.jacobian_at,
+        weights=arrays.jacobian_coeffs * rest[arrays.factor_at],
+        minlength=n_stats * n,
+    ).reshape(n_stats, n)
     C = J @ cov @ J.T
-    return names, values, C
+    return values, C
 
 
 def _linear_stat(names, values, C, weights: dict[str, float]) -> tuple[float, float, np.ndarray]:
@@ -486,6 +628,14 @@ def estimate_distances(
     eigensolve of their companion matrices.  The chain-inequality
     audit runs on the oracle values, where a violation indicates a bug
     rather than shot noise.
+
+    What depends only on the plan and the forms is compiled once: each
+    member's contraction steps per graph, the plan's host index and mask
+    arrays at its first estimate, and the forms' monomial index arrays
+    per plan, where a graph the plan lacks raises :class:`PlanError`.
+    Later calls with the same plan reuse them while the forms are equal
+    by value; forms that differ rebuild the form arrays.  A call without
+    a plan plans and compiles afresh.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
@@ -498,14 +648,15 @@ def estimate_distances(
     missing = [n for n in STAT_NAMES if n not in forms]
     if missing:
         raise ValueError(f"forms missing statistics {missing}")
-    needed = [g for form in forms.values() for _, graphs in form for g in graphs]
     if plan is None:
-        plan = plan_configurations(needed)
+        plan = plan_configurations([g for form in forms.values() for _, graphs in form for g in graphs])
+    hosts, arrays = _compiled(plan, forms)
     R1, R2 = to_correlation(rho1), to_correlation(rho2)
 
     counts = _sample_plan(plan, R1, R2, shots, seed, threads)
-    keys, phat, cov = _graph_estimates(plan, counts, shots)
-    names, values, C = _stat_values(forms, keys, phat, cov)
+    phat, cov = _graph_estimates(hosts, counts, shots)
+    values, C = _stat_values(arrays, phat, cov)
+    names = arrays.names
     stat = dict(zip(names, values))
 
     from .derive import TARGETS  # derive imports this module at load time
@@ -530,6 +681,11 @@ def estimate_distances(
     def entry(n):
         return values[idx[n]]
 
+    # In a degenerate branch the root's error scale stands alone and can
+    # fall below the error of o12, which E and G carry in full; the two
+    # are added in quadrature.
+    o12_var = max(C[idx["o12"], idx["o12"]], 0.0)
+
     # Subfidelity E = o12 + sqrt(2(o12^2 - o2))
     u = 2.0 * (entry("o12") ** 2 - stat["o2"])
     gu = np.zeros(len(names))
@@ -544,7 +700,7 @@ def estimate_distances(
         ge[idx["o2"]] = -1.0 / root_u
         e_err = float(np.sqrt(max(ge @ C @ ge, 0.0)))
     else:
-        e_err = err_root_u
+        e_err = float(np.sqrt(err_root_u**2 + o12_var))
 
     # Superfidelity G = o12 + sqrt((1-o11)(1-o22))
     v = (1.0 - entry("o11")) * (1.0 - entry("o22"))
@@ -561,7 +717,7 @@ def estimate_distances(
         gg[idx["o12"]] = 1.0
         g_err = float(np.sqrt(max(gg @ C @ gg, 0.0)))
     else:
-        g_err = err_root_v
+        g_err = float(np.sqrt(err_root_v**2 + o12_var))
 
     # Hilbert-Schmidt H = sqrt(pi2)
     h_est, h_err = _guarded_sqrt_err(pi2, var_pi2)

@@ -1,16 +1,25 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from qoverlap import interferometer
 from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import _symbolic_support, build_basis
-from qoverlap.graphs import MeasurementGraph, probability_batch
+from qoverlap.graphs import MeasurementGraph, _copy_operands, probability_batch
 from qoverlap.interferometer import (
     STAT_NAMES,
     PlanError,
+    _OUTCOME_ETA,
     _bootstrap_trace_distances,
     _canonical_key,
+    _form_arrays,
     _graph_estimates,
+    _host_arrays,
     _lenient_trace_distance,
+    _pattern_contraction,
+    _replay,
     _stat_values,
     estimate_distances,
     find_embedding,
@@ -128,6 +137,136 @@ class TestPatternDistribution:
         assert subset[-1] == pytest.approx(graph_probability(g, *pair), abs=1e-11)
 
 
+def basis_state(k):
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[k, k] = 1.0
+    return rho
+
+
+def bell_state(k):
+    """Phi+, Phi-, Psi+, Psi- for k = 0..3."""
+    v = np.zeros(4, dtype=complex)
+    a, b = ((0, 3), (0, 3), (1, 2), (1, 2))[k]
+    v[a], v[b] = 1.0, (1.0, -1.0, 1.0, -1.0)[k]
+    return np.outer(v, v.conj()) / 2.0
+
+
+def replay_pairs():
+    rng = np.random.default_rng(23)
+    rho = random_state(4, seed=rng)
+    return {
+        "ginibre": (random_state(4, seed=rng), random_state(4, seed=rng)),
+        "pure": (random_state(4, "pure", rng), random_state(4, "pure", rng)),
+        "equal": (rho, rho),
+        "basis": (basis_state(0), basis_state(3)),
+        "basis-equal": (basis_state(1), basis_state(1)),
+        "bell": (bell_state(0), bell_state(3)),
+        "bell-equal": (bell_state(2), bell_state(2)),
+    }
+
+
+def claim_plans(fits):
+    """The claim report's plans: pi2; o2; pi2, pi3 and pi4 together."""
+    plans = []
+    for names in (("pi2",), ("o2",), ("pi2", "pi3", "pi4")):
+        graphs = {}
+        for name in names:
+            for i in fits[name].support_graphs():
+                g = fits[name].basis.graphs[i]
+                graphs[g.key()] = g
+        plans.append(plan_configurations(list(graphs.values())))
+    return plans
+
+
+class TestContractionReplay:
+    @pytest.mark.parametrize("pair", sorted(replay_pairs()))
+    def test_replay_equals_einsum_on_its_path(self, fits, plan, pair):
+        """Every member of the session and claim plans, bit for bit."""
+        R1, R2 = (to_correlation(rho)[None] for rho in replay_pairs()[pair])
+        members = {m.key(): m for p in [plan, *claim_plans(fits)] for c in p.configurations for m in c.members}
+        for member in members.values():
+            spec, copy_plan, path, steps = _pattern_contraction(member)
+            operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1, R2)
+            want = np.einsum(spec, *operands, optimize=path)
+            got = _replay(steps, list(operands))
+            assert got.shape == want.shape and np.array_equal(got, want), (pair, str(member))
+
+    def test_pair_and_multi_operand_steps_both_replayed(self, plan):
+        arities = {
+            len(inds)
+            for c in plan.configurations
+            for m in c.members
+            for inds, _ in _pattern_contraction(m)[3]
+        }
+        assert 2 in arities and max(arities) > 2
+
+
+class TestCompiledEstimator:
+    @staticmethod
+    def fresh_plan(forms):
+        return plan_configurations([g for form in forms.values() for _, gs in form for g in gs])
+
+    def test_one_compile_per_plan_and_forms(self, forms, bell, mixed, monkeypatch):
+        built = []
+        for name in ("_host_arrays", "_form_arrays"):
+            fn = getattr(interferometer, name)
+            monkeypatch.setattr(
+                interferometer, name, lambda *a, fn=fn, name=name: built.append(name) or fn(*a)
+            )
+        plan = self.fresh_plan(forms)
+        copy = {name: list(form) for name, form in forms.items()}
+        reports = [
+            estimate_distances(bell, mixed, f, shots=1000, seed=seed, plan=plan)
+            for f, seed in ((forms, 1), (forms, 2), (copy, 3))
+        ]
+        assert built == ["_host_arrays", "_form_arrays"]
+        assert reports[0].seed == 1 and reports[2].seed == 3
+        estimate_distances(bell, mixed, forms, shots=1000, seed=1, plan=self.fresh_plan(forms))
+        assert built == ["_host_arrays", "_form_arrays"] * 2
+
+    def test_forms_edited_in_place_give_a_fresh_report(self, forms, bell, mixed):
+        edited = {name: list(form) for name, form in forms.items()}
+        plan = self.fresh_plan(edited)
+        before = estimate_distances(bell, mixed, edited, shots=1000, seed=5, plan=plan)
+        coeff, graphs = edited["o12"][0]
+        edited["o12"][0] = (coeff * 1.5, graphs)
+        after = estimate_distances(bell, mixed, edited, shots=1000, seed=5, plan=plan)
+        fresh = estimate_distances(bell, mixed, edited, shots=1000, seed=5, plan=self.fresh_plan(edited))
+        assert after == fresh
+        assert after != before
+
+    def test_threads_sharing_a_plan_never_mix_forms(self, forms, bell, mixed):
+        """Estimates with two different forms race on one plan's compiled arrays."""
+        edited = {name: list(form) for name, form in forms.items()}
+        coeff, graphs = edited["o12"][0]
+        edited["o12"][0] = (coeff * 1.5, graphs)
+        plan = self.fresh_plan(forms)
+        want = {
+            id(f): estimate_distances(bell, mixed, f, shots=1000, seed=7, plan=self.fresh_plan(f))
+            for f in (forms, edited)
+        }
+        jobs = [forms, edited] * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                futures = [
+                    (f, ex.submit(estimate_distances, bell, mixed, f, shots=1000, seed=7, plan=plan))
+                    for f in jobs
+                ]
+                got = [(f, fut.result(timeout=60)) for f, fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rep == want[id(f)] for f, rep in got)
+
+    def test_plan_error_names_the_statistic_on_every_call(self, forms, bell, mixed):
+        others = [g for n, form in forms.items() if n != "pi4" for _, gs in form for g in gs]
+        partial = plan_configurations(others)
+        for _ in range(2):
+            with pytest.raises(PlanError, match="'pi4'"):
+                estimate_distances(bell, mixed, forms, shots=100, plan=partial)
+
+
 class TestGraphEstimates:
     def test_superset_sums_equal_rescan_exactly(self, plan):
         rng = np.random.default_rng(22)
@@ -137,10 +276,11 @@ class TestGraphEstimates:
             for ci, conf in enumerate(plan.configurations)
             for mi, m in enumerate(conf.members)
         }
-        keys, phat, cov = _graph_estimates(plan, counts, shots)
+        hosts = _host_arrays(plan)
+        phat, cov = _graph_estimates(hosts, counts, shots)
         ref_keys, ref_phat, ref_cov = reference_graph_estimates(plan, counts, shots)
-        assert keys == ref_keys
-        assert phat == ref_phat
+        assert hosts[0] == ref_keys
+        assert phat.tolist() == [ref_phat[key] for key in ref_keys]
         assert np.array_equal(cov, ref_cov)
 
 
@@ -170,12 +310,18 @@ def random_estimates(keys, rng):
     return phat, A @ A.T / 1e4
 
 
+def compiled_stat_values(forms, keys, phat, cov):
+    """:func:`_stat_values` through freshly built form arrays, estimates in key order."""
+    arrays = _form_arrays(forms, keys)
+    return (arrays.names, *_stat_values(arrays, np.array([phat[key] for key in keys]), cov))
+
+
 class TestStatValues:
     def test_session_forms_equal_reference_loop(self, forms, plan):
         keys = [g.key() for g in plan.graphs]
         for seed in range(3):
             phat, cov = random_estimates(keys, np.random.default_rng(seed))
-            names, values, C = _stat_values(forms, keys, phat, cov)
+            names, values, C = compiled_stat_values(forms, keys, phat, cov)
             ref_names, ref_values, ref_C = reference_stat_values(forms, keys, phat, cov)
             assert names == ref_names
             assert np.array_equal(values, ref_values)
@@ -191,7 +337,7 @@ class TestStatValues:
         }
         keys = [g1.canonical().key(), g2.canonical().key()]
         phat, cov = random_estimates(keys, np.random.default_rng(4))
-        names, values, C = _stat_values(forms, keys, phat, cov)
+        names, values, C = compiled_stat_values(forms, keys, phat, cov)
         ref_names, ref_values, ref_C = reference_stat_values(forms, keys, phat, cov)
         assert names == ref_names == ["o11", "pi3"]
         assert np.array_equal(values, ref_values)
@@ -344,6 +490,19 @@ class TestEstimation:
         assert abs(pi2_row.estimate - pi2_row.oracle) < 5 * pi2_row.std_err
         assert by_name["trace-distance"].std_err > 0.01
         assert rep.audit_ok
+
+    def test_pure_pair_error_bars_carry_o12(self, forms, plan):
+        """A pure pair puts both radicands in the degenerate branch, where G equals o12."""
+        rng = np.random.default_rng(17)
+        z = []
+        for k in range(24):
+            rho1, rho2 = random_state(4, "pure", rng), random_state(4, "pure", rng)
+            rep = estimate_distances(rho1, rho2, forms, shots=10_000, seed=k, plan=plan)
+            o12 = next(r for r in rep.statistics if r.name == "o12")
+            sub, sup = rep.measures[:2]
+            assert sub.std_err >= o12.std_err and sup.std_err >= o12.std_err, k
+            z.append((sup.estimate - sup.oracle) / sup.std_err)
+        assert np.sqrt(np.mean(np.square(z))) < 1.3
 
     @pytest.mark.parametrize(
         "kwargs",
