@@ -79,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per configuration",
     )
     d.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    d.add_argument(
-        "--threads", type=int, default=1, help="threads for the sampling stage"
-    )
     d.add_argument("--out", default=None, help="write the report here instead of stdout")
     d.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -123,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pair ensemble; 'equal' draws one state and compares it to itself",
     )
     s.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    s.add_argument(
-        "--threads", type=int, default=1, help="threads for the sampling stage"
-    )
     s.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     return parser
 
@@ -182,8 +176,6 @@ def _distance_payload(args) -> tuple[dict, int]:
     if args.simulate is not None:
         if args.simulate <= 0:
             raise ValueError(f"--simulate needs a positive shot count, got {args.simulate}")
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         forms = measurement_forms()
         rep = estimate_distances(
             rho1,
@@ -191,7 +183,6 @@ def _distance_payload(args) -> tuple[dict, int]:
             forms,
             shots=args.simulate,
             seed=args.seed,
-            threads=args.threads,
         )
         payload["simulation"] = {
             "shots": rep.shots,
@@ -402,8 +393,6 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--shots needs positive integers, got {args.shots!r}")
     if args.pairs <= 0:
         raise ValueError(f"--pairs must be positive, got {args.pairs}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
 
     forms = measurement_forms()
     needed = [g for form in forms.values() for _, graphs in form for g in graphs]
@@ -421,7 +410,6 @@ def cmd_sweep(args) -> int:
                 forms,
                 shots=shots,
                 seed=_run_seed(args.seed, i, shots),
-                threads=args.threads,
                 plan=plan,
             )
             for row in rep.measures:

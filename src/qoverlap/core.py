@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "PAULI",
     "PAULI2",
+    "trace_tensor",
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "PSD_TOL",
@@ -68,6 +69,14 @@ PAULI.setflags(write=False)
 #: All sixteen two-qubit products ``PAULI2[m, n] = kron(sigma_m, sigma_n)``.
 PAULI2 = np.einsum("mij,nkl->mnikjl", PAULI, PAULI).reshape(4, 4, 4, 4)
 PAULI2.setflags(write=False)
+
+
+def trace_tensor(k: int) -> np.ndarray:
+    """``t[a1, ..., ak] = Tr[sigma_a1 ... sigma_ak]`` over all length-k Pauli words, k = 1..4."""
+    up = "abcd"[:k]
+    lo = "wxyz"[:k]
+    spec = ",".join(f"{up[i]}{lo[i]}{lo[(i + 1) % k]}" for i in range(k))
+    return np.einsum(f"{spec}->{up}", *([PAULI] * k))
 
 
 def pauli(m: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import ModeLayout, PAULI, PAULI2, ginibre_states, to_correlation
+from .core import ModeLayout, PAULI2, ginibre_states, to_correlation, trace_tensor
 from .graphs import (
     MeasurementGraph,
     connected_components,
@@ -275,14 +275,6 @@ def build_basis(max_copies: int) -> MonomialBasis:
 # how the candidate supports below are produced.
 
 
-def _trace_tensor(k: int) -> np.ndarray:
-    """Tr[sigma_{a1} ... sigma_{ak}] over all length-k Pauli words."""
-    up = "abcd"[:k]
-    lo = "wxyz"[:k]
-    spec = ",".join(f"{up[i]}{lo[i]}{lo[(i + 1) % k]}" for i in range(k))
-    return np.einsum(f"{spec}->{up}", *([PAULI] * k))
-
-
 def _matching_gram(
     matchings: list[tuple[tuple[int, int], ...]], n: int, rows: Iterable[int] | None = None
 ) -> np.ndarray:
@@ -361,7 +353,7 @@ def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndar
     z = sqrt(|O|) x of B[P, O] / sqrt(|O|) z = rhs.  The expansion is
     verified pointwise.
     """
-    t = _trace_tensor(k)
+    t = trace_tensor(k)
     kern = np.multiply.outer(t, t).real
     n = 2 * k
     matchings = enumerate_matchings(list(range(n)))

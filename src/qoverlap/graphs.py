@@ -6,7 +6,9 @@ graph's statistic is the probability that every edge fires at once.
 This module enumerates graphs, reduces them to canonical classes under
 copy exchange, and evaluates their probabilities — fast (vectorized
 correlation contractions) and exactly (rational arithmetic), plus the
-combinatorial counts behind the class bookkeeping.
+combinatorial counts behind the class bookkeeping.  Its :func:`contract`
+is the package's one contraction engine: every planned einsum, here and
+in the overlap and interferometer modules, runs through it.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from typing import NamedTuple
 
@@ -31,6 +33,7 @@ __all__ = [
     "count_matchings",
     "is_connected_spanning",
     "enumerate_classes",
+    "contract",
     "probability_batch",
     "probability_exact",
     "Numerators",
@@ -344,13 +347,90 @@ def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, tuple[tuple[int, str],
 
 
 @lru_cache(maxsize=None)
-def _contraction_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    """The path ``np.einsum(..., optimize=True)`` plans, once per subscripts and shapes.
+def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The steps of ``np.einsum(spec, ..., optimize="greedy")``, planned once per subscripts and shapes.
 
-    Passing it back as ``optimize=path`` runs the same pairwise
-    contractions in the same order, so the result is bit-identical.
+    Each step is recorded as the call that ``np.einsum`` makes for it,
+    with the positions of the operands it pops: one ``einsum`` over a
+    single operand or three and more, :func:`_pair_step` for two.
+    Replaying them (:func:`contract`) gives the same bits without
+    re-planning the path on every call.
     """
-    return np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize=True)[0]
+    lhs, out = spec.split("->")
+    terms = lhs.split(",")
+    size = {ix: d for t, shape in zip(terms, shapes) for ix, d in zip(t, shape)}
+    path = np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
+    steps = []
+    for n, inds in enumerate(path[1:], 2):
+        inds = tuple(sorted(inds, reverse=True))
+        inputs = [terms.pop(k) for k in inds]
+        # numpy's intermediate keeps the indices still needed, by (size, letter)
+        needed = set("".join(terms) + out)
+        kept = {ix for t in inputs for ix in t if ix in needed}
+        result = out if n == len(path) else "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
+        eq = ",".join(inputs) + "->" + result
+        steps.append((inds, _pair_step(eq, size) if len(inputs) == 2 else partial(np.einsum, eq)))
+        terms.append(result)
+    return tuple(steps)
+
+
+def _pair_step(eq: str, size: dict):
+    """A two-operand step of ``np.einsum(..., optimize=path)``, made with numpy's calls.
+
+    numpy contracts a pair by transposing each operand with a
+    one-operand ``einsum`` (size-1 axes dropped) and fusing its axes
+    into (batch, kept, summed) groups, then one ``matmul``, or one
+    broadcast ``multiply`` when nothing is summed, and a reshape and
+    transpose of the product.  Making the same calls on the same
+    layouts gives the same bits.  Each index occurs once per term, as
+    in every contraction of this package.
+    """
+    lhs, out = eq.split("->")
+    ta, tb = lhs.split(",")
+    left, right = ([ix for ix in t if size[ix] > 1] for t in (ta, tb))
+    summed = [ix for ix in left if ix in right and ix not in out]
+    if summed:
+        batch = [ix for ix in left if ix in right and ix in out]
+        keep_a = [ix for ix in left if ix not in right and ix in out]
+        keep_b = [ix for ix in right if ix not in left and ix in out]
+        lead = [batch] if batch else []
+        terms = [(ta, lead + [keep_a, summed]), (tb, lead + [summed, keep_b])]
+        prepared = [
+            (f"{t}->{''.join(sum(groups, []))}", tuple(math.prod(size[ix] for ix in g) for g in groups))
+            for t, groups in terms
+        ]
+        product = "".join([ix for ix in out if size[ix] == 1] + batch + keep_a + keep_b)
+        combine = np.matmul
+    else:  # a broadcast product in output order
+        prepared = [
+            (f"{t}->{''.join(ix for ix in out if ix in t)}", tuple(size[ix] if ix in t else 1 for ix in out))
+            for t in (ta, tb)
+        ]
+        product, combine = out, np.multiply
+    (eq_a, shape_a), (eq_b, shape_b) = prepared
+    shape = tuple(size[ix] for ix in product)
+    perm = tuple(product.index(ix) for ix in out)
+
+    def step(a, b):
+        a = np.einsum(eq_a, a).reshape(shape_a)
+        b = np.einsum(eq_b, b).reshape(shape_b)
+        return combine(a, b).reshape(shape).transpose(perm)
+
+    return step
+
+
+def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, *operands, optimize="greedy")``, bit for bit, from recorded steps.
+
+    The greedy path and its steps are planned once per subscripts and
+    operand shapes (:func:`_contraction_steps`); later calls only replay
+    them, each step on the operands it pops, its result appended.  Every
+    index must occur at most once per term.
+    """
+    operands = list(operands)
+    for inds, step in _contraction_steps(spec, tuple(op.shape for op in operands)):
+        operands.append(step(*[operands.pop(k) for k in inds]))
+    return operands[0]
 
 
 def _copy_operands(copy_plan: tuple[tuple[int, str], ...], R1s: np.ndarray, R2s: np.ndarray) -> list[np.ndarray]:
@@ -382,8 +462,7 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
         return np.ones(R1s.shape[0])
     spec, copy_plan = _einsum_recipe(graph)
     operands = [ETA] * graph.n_edges + _copy_operands(copy_plan, R1s, R2s)
-    path = _contraction_path(spec, tuple(op.shape for op in operands))
-    return np.einsum(spec, *operands, optimize=path) / 4.0**graph.n_edges
+    return contract(spec, *operands) / 4.0**graph.n_edges
 
 
 class Numerators(NamedTuple):

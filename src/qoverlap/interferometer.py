@@ -6,8 +6,9 @@ all-singlet coincidence frequency estimates the graph probability.  One
 prepared configuration member yields the joint outcome pattern of all its
 edges, so every sub-graph statistic comes out of the same counts.  The
 simulation computes each member's exact pattern distribution with one
-contraction that carries an outcome axis per edge (its einsum steps
-recorded once per graph and replayed), draws the patterns
+contraction that carries an outcome axis per edge (through
+:func:`~qoverlap.graphs.contract`, the package's one contraction engine,
+which plans each path once and replays its steps), draws the patterns
 multinomially, reads every sub-graph frequency and covariance off one
 superset sum of the counts, and propagates shot noise through the
 distance formulas.
@@ -18,17 +19,15 @@ outcome).
 """
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import __version__, assemble, to_correlation
-from .graphs import ETA, MeasurementGraph, _copy_operands, _einsum_recipe, probability_batch
+from .graphs import ETA, MeasurementGraph, _copy_operands, _einsum_recipe, contract, probability_batch
 from .oracle import distance_set, trace_distance, hilbert_schmidt, sub_super_fidelity
 from .overlaps import P_MINUS, _quartic_coefficients, characteristic_roots
 
@@ -110,97 +109,18 @@ _OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
 
 
 @lru_cache(maxsize=None)
-def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple, list, tuple]:
-    """Subscripts, copy plan, einsum path and recorded steps of a graph's pattern contraction.
+def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple]:
+    """Subscripts and copy plan of a graph's pattern contraction.
 
     :func:`_einsum_recipe`'s subscripts with an outcome axis added to
     every edge factor; the outputs list edge E-1 first, so the flattened
-    result is indexed by edge bitmask.  The path is planned once per
-    graph, and each of its steps is recorded as the call that
-    ``np.einsum(spec, ..., optimize=path)`` makes for it: one ``einsum``
-    over a single operand or three and more, :func:`_pair_step` for two.
-    Replaying the steps (:func:`_replay`) gives the same bits without
-    re-planning the path on every call.
+    result is indexed by edge bitmask.
     """
     spec, copy_plan = _einsum_recipe(graph)
     subs = spec.split("->")[0].split(",")
     outcomes = "ABCDEFGH"[: graph.n_edges]
     terms = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])] + subs[graph.n_edges :]
-    out = "s" + outcomes[::-1]
-    spec = ",".join(terms) + "->" + out
-    operands = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(
-        copy_plan, np.zeros((1, 4, 4)), np.zeros((1, 4, 4))
-    )
-    path, _ = np.einsum_path(spec, *operands, optimize="greedy")
-    size = {ix: d for t, op in zip(terms, operands) for ix, d in zip(t, op.shape)}
-    steps = []
-    for n, inds in enumerate(path[1:], 2):
-        inds = tuple(sorted(inds, reverse=True))
-        inputs = [terms.pop(k) for k in inds]
-        # numpy's intermediate keeps the indices still needed, by (size, letter)
-        needed = set("".join(terms) + out)
-        kept = {ix for t in inputs for ix in t if ix in needed}
-        result = out if n == len(path) else "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
-        eq = ",".join(inputs) + "->" + result
-        if len(inputs) == 2:
-            step = _pair_step(eq, size)
-        else:
-            step = partial(np.einsum, eq)
-        steps.append((inds, step))
-        terms.append(result)
-    return spec, copy_plan, path, tuple(steps)
-
-
-def _pair_step(eq: str, size: dict):
-    """A two-operand step of ``np.einsum(..., optimize=path)``, made with numpy's calls.
-
-    numpy contracts a pair by transposing each operand with a
-    one-operand ``einsum`` (size-1 axes dropped) and fusing its axes
-    into (batch, kept, summed) groups, then one ``matmul``, or one
-    broadcast ``multiply`` when nothing is summed, and a reshape and
-    transpose of the product.  Making the same calls on the same
-    layouts gives the same bits.  Each index occurs once per term, as
-    in every pattern contraction.
-    """
-    lhs, out = eq.split("->")
-    ta, tb = lhs.split(",")
-    left, right = ([ix for ix in t if size[ix] > 1] for t in (ta, tb))
-    summed = [ix for ix in left if ix in right and ix not in out]
-    if summed:
-        batch = [ix for ix in left if ix in right and ix in out]
-        keep_a = [ix for ix in left if ix not in right and ix in out]
-        keep_b = [ix for ix in right if ix not in left and ix in out]
-        lead = [batch] if batch else []
-        terms = [(ta, lead + [keep_a, summed]), (tb, lead + [summed, keep_b])]
-        prepared = [
-            (f"{t}->{''.join(sum(groups, []))}", tuple(math.prod(size[ix] for ix in g) for g in groups))
-            for t, groups in terms
-        ]
-        product = "".join([ix for ix in out if size[ix] == 1] + batch + keep_a + keep_b)
-        combine = np.matmul
-    else:  # a broadcast product in output order
-        prepared = [
-            (f"{t}->{''.join(ix for ix in out if ix in t)}", tuple(size[ix] if ix in t else 1 for ix in out))
-            for t in (ta, tb)
-        ]
-        product, combine = out, np.multiply
-    (eq_a, shape_a), (eq_b, shape_b) = prepared
-    shape = tuple(size[ix] for ix in product)
-    perm = tuple(product.index(ix) for ix in out)
-
-    def step(a, b):
-        a = np.einsum(eq_a, a).reshape(shape_a)
-        b = np.einsum(eq_b, b).reshape(shape_b)
-        return combine(a, b).reshape(shape).transpose(perm)
-
-    return step
-
-
-def _replay(steps: tuple, operands: list) -> np.ndarray:
-    """Run recorded contraction steps, each on the operands it pops, result appended."""
-    for inds, step in steps:
-        operands.append(step(*[operands.pop(k) for k in inds]))
-    return operands[0]
+    return ",".join(terms) + "->s" + outcomes[::-1], copy_plan
 
 
 def _superset_sums(v: np.ndarray) -> np.ndarray:
@@ -214,19 +134,18 @@ def _superset_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def pattern_distribution(
-    graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def pattern_distribution(graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     """Joint outcome distribution of the V observables on every edge.
 
-    Returns ``(subset_probs, pattern_probs)``, both indexed by edge
-    bitmask: ``pattern_probs[m]`` is the probability that exactly the
-    edges in ``m`` antibunch, one contraction over the graph's copies;
-    ``subset_probs[m]``, its superset sum, that at least they do.
+    Returns the pattern probabilities indexed by edge bitmask:
+    ``pattern[m]`` is the probability that exactly the edges in ``m``
+    antibunch, one contraction over the graph's copies
+    (:func:`~qoverlap.graphs.contract`).  The probability that at least
+    they do is its superset sum, :func:`_superset_sums`.
     """
-    _, copy_plan, _, steps = _pattern_contraction(graph)
+    spec, copy_plan = _pattern_contraction(graph)
     operands = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
-    pattern = _replay(steps, operands).reshape(-1) / 4.0**graph.n_edges
+    pattern = contract(spec, *operands).reshape(-1) / 4.0**graph.n_edges
     if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
         raise ValueError(
             f"joint pattern distribution invalid: min {pattern.min():.3e}, "
@@ -234,7 +153,7 @@ def pattern_distribution(
         )
     pattern = np.clip(pattern, 0.0, None)
     pattern /= pattern.sum()
-    return _superset_sums(pattern), pattern
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +327,18 @@ class EstimationReport:
 STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 
 
-def _sample_plan(plan, R1, R2, shots, seed, threads):
-    """Per-member multinomial pattern counts, deterministic under seed."""
+def _sample_plan(plan, R1, R2, shots, seed):
+    """Per-member multinomial pattern counts, one spawned stream per member, deterministic under seed."""
     jobs = [
         (ci, mi, member)
         for ci, conf in enumerate(plan.configurations)
         for mi, member in enumerate(conf.members)
     ]
     seeds = np.random.SeedSequence(seed).spawn(len(jobs))
-
-    def run(k):
-        ci, mi, member = jobs[k]
-        rng = np.random.default_rng(seeds[k])
-        _, pattern = pattern_distribution(member, R1, R2)
-        return (ci, mi), rng.multinomial(shots, pattern)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(len(jobs))))
-    else:
-        results = [run(k) for k in range(len(jobs))]
-    return dict(results)
+    return {
+        (ci, mi): np.random.default_rng(s).multinomial(shots, pattern_distribution(member, R1, R2))
+        for (ci, mi, member), s in zip(jobs, seeds)
+    }
 
 
 def _host_arrays(plan: ConfigurationPlan) -> tuple[list, list]:
@@ -627,7 +537,9 @@ def estimate_distances(
     least 2) normal draws whose quartics are solved together, one batched
     eigensolve of their companion matrices.  The chain-inequality
     audit runs on the oracle values, where a violation indicates a bug
-    rather than shot noise.
+    rather than shot noise.  Sampling runs on the calling thread;
+    ``threads`` is kept for callers that pass ``threads=1`` and any
+    other value raises :class:`ValueError`.
 
     What depends only on the plan and the forms is compiled once: each
     member's contraction steps per graph, the plan's host index and mask
@@ -641,8 +553,8 @@ def estimate_distances(
         raise ValueError(f"shots must be at least 1, got {shots}")
     if bootstrap < 2:
         raise ValueError(f"bootstrap must be at least 2 draws for a spread, got {bootstrap}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     missing = [n for n in STAT_NAMES if n not in forms]
@@ -653,7 +565,7 @@ def estimate_distances(
     hosts, arrays = _compiled(plan, forms)
     R1, R2 = to_correlation(rho1), to_correlation(rho2)
 
-    counts = _sample_plan(plan, R1, R2, shots, seed, threads)
+    counts = _sample_plan(plan, R1, R2, shots, seed)
     phat, cov = _graph_estimates(hosts, counts, shots)
     values, C = _stat_values(arrays, phat, cov)
     names = arrays.names

@@ -3,7 +3,8 @@
 Everything a singlet-projection experiment can reach lives here:
 first/second-order and mixed-word overlaps, each one word contraction
 of correlation matrices against state-independent Pauli chain kernels
-(einsum paths planned once, at import), moments of the difference
+(through :func:`~qoverlap.graphs.contract`, the package's one
+contraction engine), moments of the difference
 matrix, and the trace distance recovered from those moments via the
 quartic characteristic polynomial.  The module also carries the
 permutation-operator identities (shift operator, swap expansion,
@@ -18,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation
+from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation, trace_tensor
+from .graphs import contract
 
 __all__ = [
     "P_MINUS",
@@ -67,21 +69,14 @@ def factor_tensor() -> np.ndarray:
     + d(u,0) d(a,0) d(b,0) + i eps(a, b, u)`` where ``d3`` is the
     Kronecker delta restricted to indices 1..3.
     """
-    f = np.zeros((4, 4, 4), dtype=complex)
-    for u in range(4):
-        for a in range(4):
-            for b in range(4):
-                f[u, a, b] = np.trace(PAULI[u] @ PAULI[a] @ PAULI[b]) / 2.0
-    return f
+    return trace_tensor(3) / 2.0
 
-
-_F = factor_tensor()
-_F.setflags(write=False)
 
 # Chain kernels: Tr(sigma_a sigma_b sigma_c) = 2 K3[a,b,c] and
 # Tr(sigma_a sigma_b sigma_c sigma_d) = 2 K4[a,b,c,d].
-_K3 = _F
-_K4 = np.einsum("uab,ucd->abcd", _F, _F)
+_K3 = factor_tensor()
+_K4 = trace_tensor(4) / 2.0
+_K3.setflags(write=False)
 _K4.setflags(write=False)
 
 
@@ -92,12 +87,6 @@ _WORD_KERNELS = {
     3: ("mn,kl,xy,mkx,nly->", (_K3, _K3), 16.0),
     4: ("mn,kl,xy,rs,mkxr,nlys->", (_K4, _K4), 64.0),
 }
-# Greedy einsum paths, planned once on placeholder operands rather than
-# searched for on every call; two matrices contract directly.
-_WORD_PATHS = {
-    c: np.einsum_path(sub, *[np.zeros((4, 4))] * c, *kernels, optimize="greedy")[0] if kernels else False
-    for c, (sub, kernels, _) in _WORD_KERNELS.items()
-}
 
 
 def _contract_word(word: str, R: dict[str, np.ndarray]) -> float:
@@ -107,7 +96,11 @@ def _contract_word(word: str, R: dict[str, np.ndarray]) -> float:
     imaginary part above 1e-9 signals a broken kernel and raises.
     """
     subscripts, kernels, norm = _WORD_KERNELS[len(word)]
-    total = np.einsum(subscripts, *(R[ch] for ch in word), *kernels, optimize=_WORD_PATHS[len(word)])
+    matrices = [R[ch] for ch in word]
+    if kernels:
+        total = contract(subscripts, *matrices, *kernels)
+    else:  # unplanned C einsum: a planned path is one matmul, which moves O12's last bit
+        total = np.einsum(subscripts, *matrices)
     if abs(total.imag / norm) > 1e-9:
         raise ValueError(f"word {word} overlap has imaginary residue {total.imag / norm:.3e}")
     return float(total.real / norm)

@@ -28,10 +28,6 @@ KET00 = {
 }
 
 
-def never_derive(**kw):
-    raise AssertionError("the derivation ran before the arguments were checked")
-
-
 class TestDistance:
     def test_worked_pair_text(self, capsys):
         assert cli.main(["distance", BELL, MIXED]) == 0
@@ -113,15 +109,6 @@ class TestDistance:
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
         assert cli.main(["distance", BELL, MIXED, "--simulate", "0"]) == 1
         assert "positive shot count" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_simulate_rejects_threads_below_one_before_deriving(
-        self, threads, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(cli, "measurement_forms", never_derive)
-        argv = ["distance", BELL, MIXED, "--simulate", "1000", "--threads", threads]
-        assert cli.main(argv) == 1
-        assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 class TestDerive:
@@ -207,7 +194,7 @@ class TestSweep:
         argv = ["sweep", "--pairs", "2", "--shots", "500,2000", "--seed", "3"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(argv + ["--out", str(out1)]) == 0
-        assert cli.main(argv + ["--threads", "3", "--out", str(out2)]) == 0
+        assert cli.main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().splitlines()
         assert lines[0] == "N,measure,bias,rmse,mean std-err"
@@ -242,12 +229,6 @@ class TestSweep:
     def test_bad_pairs_validation(self, forms, monkeypatch):
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
         assert cli.main(["sweep", "--pairs", "0", "--shots", "100"]) == 1
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected_before_deriving(self, threads, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "measurement_forms", never_derive)
-        assert cli.main(["sweep", "--pairs", "2", "--shots", "100", "--threads", threads]) == 1
-        assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 class TestVersionFlag:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qoverlap.derive as derive
-from qoverlap.core import PAULI2, random_state, to_correlation
+from qoverlap.core import PAULI2, random_state, to_correlation, trace_tensor
 from qoverlap.derive import (
     EXACT,
     FIT_TOL,
@@ -433,7 +433,7 @@ class TestCompressedSolves:
 def reference_kernel(k):
     """The trace-kernel expansion by one minimum-norm solve on the full Gram system."""
     n = 2 * k
-    t = derive._trace_tensor(k)
+    t = trace_tensor(k)
     kern = np.multiply.outer(t, t).real
     matchings = enumerate_matchings(list(range(n)))
     rhs = np.array([kern[derive._matching_indices(M, n)].sum() for M in matchings])
@@ -446,7 +446,7 @@ class TestTraceKernel:
 
     @pytest.mark.parametrize("k, distinct", [(2, 8), (3, 36), (4, 64)])
     def test_symmetries_fix_the_kernel(self, k, distinct):
-        t = derive._trace_tensor(k)
+        t = trace_tensor(k)
         kern = np.multiply.outer(t, t).real
         perms = {tuple(p) for p in derive._slot_symmetries(k)}
         assert len(perms) == distinct

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from qoverlap.core import mode_swap_unitary, random_state, random_unitary, to_correlation
+from qoverlap.graphs import contract
 from qoverlap.oracle import trace_distance
 from qoverlap.overlaps import (
+    _WORD_KERNELS,
     MomentSet,
     distances_from_overlaps,
     moments,
@@ -84,6 +86,51 @@ class TestWordOverlaps:
         R1, R2 = to_correlation(a), to_correlation(b)
         with pytest.raises(ValueError):
             word_overlap_bloch("103", R1, R2)
+
+
+def engine_pairs(family):
+    """Correlation-matrix pairs of one family: random ones, or every ordered basis or Bell pair."""
+    if family in ("basis", "bell"):
+        kets = np.eye(4) if family == "basis" else np.array(
+            [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
+        ) / np.sqrt(2.0)
+        states = [to_correlation(np.outer(k, k).astype(complex)) for k in kets]
+        return [(a, b) for a in states for b in states]
+    rng = np.random.default_rng(24)
+    measure, rank = ("rank-constrained", 2) if family == "rank-2" else (family, None)
+    return [
+        tuple(to_correlation(random_state(4, measure, seed=rng, rank=rank)) for _ in range(2))
+        for _ in range(8)
+    ]
+
+
+class TestWordEngine:
+    """Every overlap word against numpy's own einsum, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["ginibre", "pure", "rank-2", "basis", "bell"])
+    def test_long_words_equal_greedy_einsum(self, family):
+        for R1, R2 in engine_pairs(family):
+            R = {"1": R1, "2": R2}
+            mixed = overlap_set(R1, R2).mixed
+            for word, value in mixed.items():
+                spec, kernels, norm = _WORD_KERNELS[len(word)]
+                operands = [R[ch] for ch in word] + list(kernels)
+                want = np.einsum(spec, *operands, optimize="greedy")
+                assert np.array_equal(contract(spec, *operands), want), (family, word)
+                assert value == float(want.real / norm), (family, word)
+
+    def test_two_letter_words_stay_on_c_einsum(self):
+        """A planned path makes them one matmul, which sums in another order."""
+        rng = np.random.default_rng(25)
+        moved = 0
+        for _ in range(50):
+            R1 = to_correlation(random_state(4, seed=rng))
+            R2 = to_correlation(random_state(4, "pure", rng))
+            o = overlap_set(R1, R2)
+            for value, (x, y) in ((o.O11, (R1, R1)), (o.O22, (R2, R2)), (o.O12, (R1, R2))):
+                assert value == float(np.einsum("mn,mn->", x, y) / 4.0)
+            moved += contract("mn,mn->", R1, R2) != np.einsum("mn,mn->", R1, R2)
+        assert moved > 0
 
 
 class TestShiftOperator:
