@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -431,8 +432,14 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built at the first :func:`main` call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"distance": cmd_distance, "derive": cmd_derive, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)

@@ -347,7 +347,7 @@ def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, tuple[tuple[int, str],
 
 
 @lru_cache(maxsize=None)
-def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...], stack: int = 1) -> tuple | None:
     """The steps of ``np.einsum(spec, ..., optimize="greedy")``, planned once per subscripts and shapes.
 
     Each step is recorded as the call that ``np.einsum`` makes for it,
@@ -355,10 +355,18 @@ def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     single operand or three and more, :func:`_pair_step` for two.
     Replaying them (:func:`contract`) gives the same bits without
     re-planning the path on every call.
+
+    With ``stack`` above 1 the path is still planned on ``shapes``, those
+    of one contraction, but the steps run ``stack`` of them at once,
+    stacked along the batch index ``s``.  A pair step whose ``s`` operand
+    keeps no other index is a matrix-vector product that the stack turns
+    into a matrix-matrix product, which sums in another order; the stack
+    then gives None and its contractions run one at a time.
     """
     lhs, out = spec.split("->")
     terms = lhs.split(",")
     size = {ix: d for t, shape in zip(terms, shapes) for ix, d in zip(t, shape)}
+    stacked = {**size, "s": stack} if stack > 1 else size
     path = np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
     steps = []
     for n, inds in enumerate(path[1:], 2):
@@ -369,9 +377,28 @@ def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
         kept = {ix for t in inputs for ix in t if ix in needed}
         result = out if n == len(path) else "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
         eq = ",".join(inputs) + "->" + result
-        steps.append((inds, _pair_step(eq, size) if len(inputs) == 2 else partial(np.einsum, eq)))
+        if len(inputs) == 2:
+            if stack > 1 and _widens_vector(*inputs, result, size):
+                return None
+            steps.append((inds, _pair_step(eq, stacked)))
+        else:
+            steps.append((inds, partial(np.einsum, eq)))
         terms.append(result)
     return tuple(steps)
+
+
+def _widens_vector(ta: str, tb: str, out: str, size: dict) -> bool:
+    """Whether stacking on ``s`` turns the pair step ``ta,tb->out`` from matrix-vector into matrix-matrix.
+
+    It does when the step sums an index (a ``matmul`` in :func:`_pair_step`)
+    and the one operand holding ``s`` keeps no other index of size above 1.
+    """
+    if not any(ix in tb and ix not in out and size[ix] > 1 for ix in ta):
+        return False
+    for t, other in ((ta, tb), (tb, ta)):
+        if "s" in t and "s" not in other:
+            return not any(ix != "s" and ix not in other and ix in out and size[ix] > 1 for ix in t)
+    return False
 
 
 def _pair_step(eq: str, size: dict):
@@ -427,17 +454,22 @@ def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
     them, each step on the operands it pops, its result appended.  Every
     index must occur at most once per term.
     """
+    return _replay(_contraction_steps(spec, tuple(op.shape for op in operands)), operands)
+
+
+def _replay(steps: tuple, operands) -> np.ndarray:
+    """Run recorded :func:`_contraction_steps`, each on the operands it pops, its result appended."""
     operands = list(operands)
-    for inds, step in _contraction_steps(spec, tuple(op.shape for op in operands)):
+    for inds, step in steps:
         operands.append(step(*[operands.pop(k) for k in inds]))
     return operands[0]
 
 
-def _copy_operands(copy_plan: tuple[tuple[int, str], ...], R1s: np.ndarray, R2s: np.ndarray) -> list[np.ndarray]:
-    """Per touched copy, its state's batch of matrices sliced as the copy plan says."""
+def _copy_operands(copy_plan: tuple[tuple[int, str], ...], *Rs: np.ndarray) -> list[np.ndarray]:
+    """Per touched copy ``(sid, kind)``, the batch of matrices ``Rs[sid - 1]`` sliced as ``kind`` says."""
     operands = []
     for sid, kind in copy_plan:
-        R = R1s if sid == 1 else R2s
+        R = Rs[sid - 1]
         if kind == "a":
             R = R[:, :, 0]
         elif kind == "b":

@@ -5,13 +5,14 @@ measuring the two-outcome observable {P-, 1-P-} on every edge; the
 all-singlet coincidence frequency estimates the graph probability.  One
 prepared configuration member yields the joint outcome pattern of all its
 edges, so every sub-graph statistic comes out of the same counts.  The
-simulation computes each member's exact pattern distribution with one
-contraction that carries an outcome axis per edge (through
+simulation computes the members' exact pattern distributions with
+contractions that carry an outcome axis per edge, one per group of members
+sharing their subscripts, stacked along a member axis (the steps of
 :func:`~qoverlap.graphs.contract`, the package's one contraction engine,
-which plans each path once and replays its steps), draws the patterns
-multinomially, reads every sub-graph frequency and covariance off one
-superset sum of the counts, and propagates shot noise through the
-distance formulas.
+planned once per member shape and replayed on the stack).  It draws each
+member's patterns multinomially from its own stream, reads every sub-graph
+frequency and covariance off one superset sum of the zero-padded counts,
+and propagates shot noise through the distance formulas.
 
 A "photon pair" is one two-qubit copy; hardware-level boson statistics
 are out of scope (the antibunching event is abstracted to the singlet
@@ -27,8 +28,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import __version__, assemble, to_correlation
-from .graphs import ETA, MeasurementGraph, _copy_operands, _einsum_recipe, contract, probability_batch
-from .oracle import distance_set, trace_distance, hilbert_schmidt, sub_super_fidelity
+from .graphs import (
+    ETA,
+    MeasurementGraph,
+    _contraction_steps,
+    _copy_operands,
+    _einsum_recipe,
+    _replay,
+    probability_batch,
+)
+from .oracle import distance_set
 from .overlaps import P_MINUS, _quartic_coefficients, characteristic_roots
 
 __all__ = [
@@ -124,14 +133,66 @@ def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple]:
 
 
 def _superset_sums(v: np.ndarray) -> np.ndarray:
-    """``out[m] = sum of v[p] over every bitmask p containing m`` (zeta transform)."""
+    """``out[..., m] = sum of v[..., p] over every bitmask p containing m`` (zeta transform, last axis)."""
     out = np.array(v)
     half = 1
-    while half < out.size:
-        pairs = out.reshape(-1, 2, half)
-        pairs[:, 0] += pairs[:, 1]
+    while half < out.shape[-1]:
+        pairs = out.reshape(*out.shape[:-1], -1, 2, half)
+        pairs[..., 0, :] += pairs[..., 1, :]
         half *= 2
     return out
+
+
+class _PatternGroup(NamedTuple):
+    """Members sharing their pattern contraction, replayed as one stack (see :func:`_pattern_group`)."""
+
+    n_edges: int
+    copy_plan: tuple     # (copy position + 1, slice kind) per copy
+    states: np.ndarray   # (copy, member) -> state index 0 or 1
+    steps: tuple         # the contraction's steps for the whole stack
+
+
+@lru_cache(maxsize=None)
+def _pattern_group(members: tuple[MeasurementGraph, ...]) -> _PatternGroup | None:
+    """The stacked pattern contraction of members with equal subscripts and copy slices.
+
+    Copy ``c`` of every member is read from the stack of both states'
+    matrices through the member's state selector ``states[c]``.  The path
+    is planned for one member and every step replayed on the stack
+    (:func:`~qoverlap.graphs._contraction_steps`), so each row has the
+    bits of its member's own contraction; None when the steps cannot keep
+    them.
+    """
+    spec, copy_plan = _pattern_contraction(members[0])
+    R = np.empty((1, 4, 4))
+    shapes = tuple(op.shape for op in [_OUTCOME_ETA] * members[0].n_edges + _copy_operands(copy_plan, R, R))
+    steps = _contraction_steps(spec, shapes, len(members))
+    if steps is None:
+        return None
+    states = np.array([[sid - 1 for sid, _ in _pattern_contraction(m)[1]] for m in members]).T
+    kinds = tuple((c + 1, kind) for c, (_, kind) in enumerate(copy_plan))
+    return _PatternGroup(members[0].n_edges, kinds, states, steps)
+
+
+def _group_patterns(group: _PatternGroup, Rs: np.ndarray) -> np.ndarray:
+    """Pattern rows of a group's members for the states ``Rs = [R1, R2]``, each row checked.
+
+    A row more negative than ``PATTERN_TOL`` or off unit sum by more than
+    it raises :class:`ValueError`; rows are clipped at 0 and normalized.
+    """
+    operands = [_OUTCOME_ETA] * group.n_edges + _copy_operands(group.copy_plan, *Rs[group.states])
+    patterns = _replay(group.steps, operands).reshape(group.states.shape[1], -1) / 4.0**group.n_edges
+    low, total = patterns.min(axis=1), patterns.sum(axis=1)
+    bad = np.flatnonzero((low < -PATTERN_TOL) | (np.abs(total - 1.0) > PATTERN_TOL))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"joint pattern distribution invalid: min {low[k]:.3e}, "
+            f"sum {total[k]:.12f}"
+        )
+    patterns = np.clip(patterns, 0.0, None)
+    patterns /= patterns.sum(axis=1, keepdims=True)
+    return patterns
 
 
 def pattern_distribution(graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
@@ -139,21 +200,11 @@ def pattern_distribution(graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray
 
     Returns the pattern probabilities indexed by edge bitmask:
     ``pattern[m]`` is the probability that exactly the edges in ``m``
-    antibunch, one contraction over the graph's copies
-    (:func:`~qoverlap.graphs.contract`).  The probability that at least
-    they do is its superset sum, :func:`_superset_sums`.
+    antibunch, one contraction over the graph's copies, replayed as a
+    stack of one (:func:`_group_patterns`).  The probability that at
+    least they do is its superset sum, :func:`_superset_sums`.
     """
-    spec, copy_plan = _pattern_contraction(graph)
-    operands = [_OUTCOME_ETA] * graph.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
-    pattern = contract(spec, *operands).reshape(-1) / 4.0**graph.n_edges
-    if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
-        raise ValueError(
-            f"joint pattern distribution invalid: min {pattern.min():.3e}, "
-            f"sum {pattern.sum():.12f}"
-        )
-    pattern = np.clip(pattern, 0.0, None)
-    pattern /= pattern.sum()
-    return pattern
+    return _group_patterns(_pattern_group((graph,)), np.stack([R1, R2]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,55 +378,103 @@ class EstimationReport:
 STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 
 
-def _sample_plan(plan, R1, R2, shots, seed):
-    """Per-member multinomial pattern counts, one spawned stream per member, deterministic under seed."""
-    jobs = [
-        (ci, mi, member)
-        for ci, conf in enumerate(plan.configurations)
-        for mi, member in enumerate(conf.members)
-    ]
-    seeds = np.random.SeedSequence(seed).spawn(len(jobs))
-    return {
-        (ci, mi): np.random.default_rng(s).multinomial(shots, pattern_distribution(member, R1, R2))
-        for (ci, mi, member), s in zip(jobs, seeds)
-    }
+def _plan_members(plan: ConfigurationPlan) -> dict[tuple[int, int], MeasurementGraph]:
+    """Every prepared member by (configuration, member) index, in order: the rows of the pattern and count stacks."""
+    return {(ci, mi): m for ci, conf in enumerate(plan.configurations) for mi, m in enumerate(conf.members)}
 
 
-def _host_arrays(plan: ConfigurationPlan) -> tuple[list, list]:
-    """The plan's graph keys, and per hosting member what :func:`_graph_estimates` reads.
+class _SamplingProgram(NamedTuple):
+    """How one estimate computes a plan's patterns (see :func:`_sampling_program`)."""
 
-    For each member: the positions in ``plan.graphs`` of the graphs it
-    hosts, their edge bitmasks, the bitmask of every pair's union, and
-    the covariance block the pairs fill.
+    groups: tuple    # (member rows, _PatternGroup) per stacked group
+    singles: tuple   # (member row, member) contracted one at a time
+    widths: tuple    # pattern length, 2**edges, per member row
+
+
+def _sampling_program(plan: ConfigurationPlan) -> _SamplingProgram:
+    """The plan's members grouped by pattern subscripts and copy slices, one stacked contraction per group.
+
+    A group whose contraction cannot be stacked bit for bit
+    (:func:`_pattern_group` gives None) leaves its members to
+    :func:`pattern_distribution`, one at a time.
     """
+    members = list(_plan_members(plan).values())
+    by_subscripts: dict[tuple, list[int]] = {}
+    for row, member in enumerate(members):
+        spec, copy_plan = _pattern_contraction(member)
+        by_subscripts.setdefault((spec, tuple(kind for _, kind in copy_plan)), []).append(row)
+    groups, singles = [], []
+    for rows in by_subscripts.values():
+        group = _pattern_group(tuple(members[r] for r in rows))
+        if group is None:
+            singles += [(r, members[r]) for r in rows]
+        else:
+            groups.append((np.array(rows), group))
+    return _SamplingProgram(tuple(groups), tuple(singles), tuple(2**m.n_edges for m in members))
+
+
+def _plan_patterns(program: _SamplingProgram, R1, R2) -> np.ndarray:
+    """Every member's pattern distribution, one zero-padded row per member."""
+    patterns = np.zeros((len(program.widths), max(program.widths)))
+    Rs = np.stack([R1, R2])
+    for rows, group in program.groups:
+        patterns[rows, : 2**group.n_edges] = _group_patterns(group, Rs)
+    for row, member in program.singles:
+        patterns[row, : program.widths[row]] = pattern_distribution(member, R1, R2)
+    return patterns
+
+
+def _sample_plan(program: _SamplingProgram, R1, R2, shots, seed) -> np.ndarray:
+    """Multinomial pattern counts, one zero-padded row and one spawned stream per member, deterministic under seed."""
+    patterns = _plan_patterns(program, R1, R2)
+    counts = np.zeros(patterns.shape, dtype=np.int64)
+    seeds = np.random.SeedSequence(seed).spawn(len(program.widths))
+    for row, (s, width) in enumerate(zip(seeds, program.widths)):
+        counts[row, :width] = np.random.default_rng(s).multinomial(shots, patterns[row, :width])
+    return counts
+
+
+class _HostArrays(NamedTuple):
+    """Where :func:`_graph_estimates` reads the planned graphs in the flattened superset sums."""
+
+    keys: list             # the plan's graph keys, in ``plan.graphs`` order
+    at: np.ndarray         # graph -> flat (member row, edge bitmask) index
+    pairs: tuple           # (first, second) graph of every pair on one member, self-pairs included
+    union_at: np.ndarray   # each pair's flat (member row, union bitmask) index
+
+
+def _host_arrays(plan: ConfigurationPlan) -> _HostArrays:
+    """The plan's graph keys and the flat indices :func:`_graph_estimates` gathers.
+
+    Rows are :func:`_plan_members` order and hold ``2**max_edges``
+    entries, so a row's index bits never meet an edge bitmask.
+    """
+    members = _plan_members(plan)
+    row = {member: r for r, member in enumerate(members)}
+    width = max(2**m.n_edges for m in members.values())
     keys = [g.key() for g in plan.graphs]
-    hosted: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, key in enumerate(keys):
-        ci, mi, emb = plan.hosts[key]
-        hosted.setdefault((ci, mi), []).append((a, sum(1 << k for k in emb)))
-    members = []
-    for member, graphs in hosted.items():
-        idx, masks = (np.array(col) for col in zip(*graphs))
-        members.append((member, idx, masks, masks[:, None] | masks[None, :], np.ix_(idx, idx)))
-    return keys, members
+    hosts = [plan.hosts[key] for key in keys]
+    rows = np.array([row[ci, mi] for ci, mi, _ in hosts])
+    masks = np.array([sum(1 << k for k in emb) for _, _, emb in hosts])
+    at = rows * width + masks
+    first, second = np.nonzero(rows[:, None] == rows[None, :])
+    return _HostArrays(keys, at, (first, second), at[first] | masks[second])
 
 
-def _graph_estimates(hosts, counts, shots):
+def _graph_estimates(hosts: _HostArrays, counts: np.ndarray, shots):
     """Estimates, in ``plan.graphs`` order, and covariance of every planned graph probability.
 
-    ``hosts`` is :func:`_host_arrays` of the plan.  Within one member,
-    Cov(p_X, p_Y) = (p_{X union Y} - p_X p_Y)/N with the union read off
-    the same counts; across members everything is independent by
-    construction.
+    ``hosts`` is :func:`_host_arrays` of the plan and ``counts`` the
+    padded count stack of :func:`_sample_plan`; one superset sum serves
+    every member.  Within one member, Cov(p_X, p_Y) = (p_{X union Y} -
+    p_X p_Y)/N with the union read off the same counts; across members
+    everything is independent by construction.
     """
-    keys, members = hosts
-    phat = np.empty(len(keys))
-    cov = np.zeros((len(keys), len(keys)))
-    for member, idx, masks, union, block in members:
-        at_least = _superset_sums(counts[member])
-        p = at_least[masks] / shots
-        cov[block] = (at_least[union] / shots - np.outer(p, p)) / shots
-        phat[idx] = p
+    at_least = _superset_sums(counts).reshape(-1)
+    phat = at_least[hosts.at] / shots
+    first, second = hosts.pairs
+    cov = np.zeros((len(phat), len(phat)))
+    cov[first, second] = (at_least[hosts.union_at] / shots - phat[first] * phat[second]) / shots
     return phat, cov
 
 
@@ -428,16 +527,19 @@ def _form_arrays(forms, keys) -> _FormArrays:
     )
 
 
-def _compiled(plan: ConfigurationPlan, forms) -> tuple[tuple, _FormArrays]:
-    """The plan's :func:`_host_arrays` and the forms' :func:`_form_arrays`.
+def _compiled(plan: ConfigurationPlan, forms) -> tuple[_SamplingProgram, _HostArrays, _FormArrays]:
+    """The plan's :func:`_sampling_program` and :func:`_host_arrays`, and the forms' :func:`_form_arrays`.
 
-    Both are built at the plan's first estimate and kept on the plan.
+    All are built at the plan's first estimate and kept on the plan.
     The form arrays are rebuilt whenever the forms differ by value from
     the ones they were built from, so an edited form never meets stale
     arrays.  Each entry is stored whole, together with the forms it was
     built from, so estimates racing on one plan at worst build twice.
     """
     cache = plan._arrays
+    program = cache.get("program")
+    if program is None:
+        program = cache["program"] = _sampling_program(plan)
     hosts = cache.get("hosts")
     if hosts is None:
         hosts = cache["hosts"] = _host_arrays(plan)
@@ -446,8 +548,8 @@ def _compiled(plan: ConfigurationPlan, forms) -> tuple[tuple, _FormArrays]:
     )
     built = cache.get("forms")
     if built is None or built[0] != snapshot:
-        built = cache["forms"] = (snapshot, _form_arrays(forms, hosts[0]))
-    return hosts, built[1]
+        built = cache["forms"] = (snapshot, _form_arrays(forms, hosts.keys))
+    return program, hosts, built[1]
 
 
 def _stat_values(arrays: _FormArrays, phat, cov):
@@ -541,8 +643,8 @@ def estimate_distances(
     ``threads`` is kept for callers that pass ``threads=1`` and any
     other value raises :class:`ValueError`.
 
-    What depends only on the plan and the forms is compiled once: each
-    member's contraction steps per graph, the plan's host index and mask
+    What depends only on the plan and the forms is compiled once: the
+    plan's sampling program (:func:`_sampling_program`) and host index
     arrays at its first estimate, and the forms' monomial index arrays
     per plan, where a graph the plan lacks raises :class:`PlanError`.
     Later calls with the same plan reuse them while the forms are equal
@@ -562,10 +664,10 @@ def estimate_distances(
         raise ValueError(f"forms missing statistics {missing}")
     if plan is None:
         plan = plan_configurations([g for form in forms.values() for _, graphs in form for g in graphs])
-    hosts, arrays = _compiled(plan, forms)
+    program, hosts, arrays = _compiled(plan, forms)
     R1, R2 = to_correlation(rho1), to_correlation(rho2)
 
-    counts = _sample_plan(plan, R1, R2, shots, seed)
+    counts = _sample_plan(program, R1, R2, shots, seed)
     phat, cov = _graph_estimates(hosts, counts, shots)
     values, C = _stat_values(arrays, phat, cov)
     names = arrays.names
@@ -652,20 +754,19 @@ def estimate_distances(
         stat_oracle["pi3"],
         stat_oracle["pi4"],
     )
-    e_formula, g_formula = sub_super_fidelity(rho1, rho2)
     measures = (
-        MeasureRow("subfidelity", ds.subfidelity, e_formula, float(e_est), e_err),
-        MeasureRow("superfidelity", ds.superfidelity, g_formula, float(g_est), g_err),
+        MeasureRow("subfidelity", ds.subfidelity, ds.subfidelity, float(e_est), e_err),
+        MeasureRow("superfidelity", ds.superfidelity, ds.superfidelity, float(g_est), g_err),
         MeasureRow(
             "hilbert-schmidt",
-            hilbert_schmidt(rho1, rho2),
+            ds.hilbert_schmidt,
             float(np.sqrt(max(moments_formula[0], 0.0))),
             float(h_est),
             h_err,
         ),
         MeasureRow(
             "trace-distance",
-            trace_distance(rho1, rho2),
+            ds.trace_distance,
             _lenient_trace_distance(*moments_formula),
             float(t_est),
             t_err,

@@ -188,6 +188,37 @@ class TestDerive:
         assert "# target: pi4" in out and "# target: pi2" not in out
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; one call leaves nothing in the next."""
+
+    def test_parser_built_once_and_build_parser_stays_fresh(self, capsys):
+        cli.main(["distance", BELL, MIXED])
+        cli.main(["distance", BELL, BELL])
+        capsys.readouterr()
+        assert cli._parser.cache_info().currsize == 1
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_json_format_does_not_carry_into_the_next_call(self, capsys):
+        assert cli.main(["distance", BELL, MIXED, "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert cli.main(["distance", BELL, MIXED]) == 0
+        out = capsys.readouterr().out
+        assert "audit: all chain inequalities hold" in out
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
+    def test_appended_targets_do_not_carry_into_the_next_call(self, fits, monkeypatch, capsys):
+        monkeypatch.setattr(derive, "fit_coefficients", lambda target, *a, **k: fits[target])
+        assert cli.main(["derive", "--target", "pi2"]) == 0
+        assert capsys.readouterr().out.count("# target: ") == 1
+        assert cli.main(["derive"]) == 0
+        assert capsys.readouterr().out.count("# target: ") == len(fits)
+        assert cli.main(["derive", "--target", "o11"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("# target: ") == 1 and "# target: o11" in out
+
+
 class TestSweep:
     def test_csv_shape_and_determinism(self, forms, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)

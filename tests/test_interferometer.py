@@ -9,6 +9,7 @@ from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import _symbolic_support, build_basis
 from qoverlap.graphs import MeasurementGraph, _contraction_steps, _copy_operands, contract, probability_batch
 from qoverlap.interferometer import (
+    PATTERN_TOL,
     STAT_NAMES,
     PlanError,
     _OUTCOME_ETA,
@@ -16,9 +17,13 @@ from qoverlap.interferometer import (
     _canonical_key,
     _form_arrays,
     _graph_estimates,
+    _group_patterns,
     _host_arrays,
     _lenient_trace_distance,
     _pattern_contraction,
+    _plan_members,
+    _plan_patterns,
+    _sampling_program,
     _stat_values,
     _superset_sums,
     estimate_distances,
@@ -210,7 +215,7 @@ class TestCompiledEstimator:
 
     def test_one_compile_per_plan_and_forms(self, forms, bell, mixed, monkeypatch):
         built = []
-        for name in ("_host_arrays", "_form_arrays"):
+        for name in ("_sampling_program", "_host_arrays", "_form_arrays"):
             fn = getattr(interferometer, name)
             monkeypatch.setattr(
                 interferometer, name, lambda *a, fn=fn, name=name: built.append(name) or fn(*a)
@@ -221,10 +226,19 @@ class TestCompiledEstimator:
             estimate_distances(bell, mixed, f, shots=1000, seed=seed, plan=plan)
             for f, seed in ((forms, 1), (forms, 2), (copy, 3))
         ]
-        assert built == ["_host_arrays", "_form_arrays"]
+        once = ["_sampling_program", "_host_arrays", "_form_arrays"]
+        assert built == once
         assert reports[0].seed == 1 and reports[2].seed == 3
+        coeff, graphs = copy["o12"][0]
+        copy["o12"][0] = (coeff * 1.5, graphs)
+        estimate_distances(bell, mixed, copy, shots=1000, seed=4, plan=plan)
+        assert built == once + ["_form_arrays"]
         estimate_distances(bell, mixed, forms, shots=1000, seed=1, plan=self.fresh_plan(forms))
-        assert built == ["_host_arrays", "_form_arrays"] * 2
+        assert built == once + ["_form_arrays"] + once
+
+    def test_planning_builds_no_arrays(self, forms):
+        """The program, host and form arrays wait for the plan's first estimate."""
+        assert self.fresh_plan(forms)._arrays == {}
 
     def test_forms_edited_in_place_give_a_fresh_report(self, forms, bell, mixed):
         edited = {name: list(form) for name, form in forms.items()}
@@ -269,6 +283,15 @@ class TestCompiledEstimator:
                 estimate_distances(bell, mixed, forms, shots=100, plan=partial)
 
 
+def padded_counts(plan, counts):
+    """Per-member counts as the zero-padded stack :func:`_sample_plan` returns."""
+    members = _plan_members(plan)
+    stack = np.zeros((len(members), max(2**m.n_edges for m in members.values())), dtype=np.int64)
+    for row, member in enumerate(members):
+        stack[row, : counts[member].size] = counts[member]
+    return stack
+
+
 class TestGraphEstimates:
     def test_superset_sums_equal_rescan_exactly(self, plan):
         rng = np.random.default_rng(22)
@@ -278,12 +301,119 @@ class TestGraphEstimates:
             for ci, conf in enumerate(plan.configurations)
             for mi, m in enumerate(conf.members)
         }
+        assert len({c.size for c in counts.values()}) > 1  # rows of several lengths, padded
         hosts = _host_arrays(plan)
-        phat, cov = _graph_estimates(hosts, counts, shots)
+        phat, cov = _graph_estimates(hosts, padded_counts(plan, counts), shots)
         ref_keys, ref_phat, ref_cov = reference_graph_estimates(plan, counts, shots)
-        assert hosts[0] == ref_keys
+        assert hosts.keys == ref_keys
         assert phat.tolist() == [ref_phat[key] for key in ref_keys]
         assert np.array_equal(cov, ref_cov)
+
+
+def einsum_pattern(member, R1, R2):
+    """One member's pattern, planned by ``np.einsum`` on its own, then checked, clipped and normalized."""
+    spec, copy_plan = _pattern_contraction(member)
+    operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
+    pattern = np.einsum(spec, *operands, optimize="greedy").reshape(-1) / 4.0**member.n_edges
+    if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
+        raise ValueError(
+            f"joint pattern distribution invalid: min {pattern.min():.3e}, sum {pattern.sum():.12f}"
+        )
+    pattern = np.clip(pattern, 0.0, None)
+    pattern /= pattern.sum()
+    return pattern
+
+
+def pattern_error(member, R1, R2):
+    """The message :func:`einsum_pattern` raises for the member, or None."""
+    try:
+        einsum_pattern(member, R1, R2)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def reference_sample_plan(plan, R1, R2, shots, seed):
+    """One contraction and one multinomial per member in plan order, counts zero-padded."""
+    members = list(_plan_members(plan).values())
+    seeds = np.random.SeedSequence(seed).spawn(len(members))
+    counts = np.zeros((len(members), max(2**m.n_edges for m in members)), dtype=np.int64)
+    for row, (member, s) in enumerate(zip(members, seeds)):
+        counts[row, : 2**member.n_edges] = np.random.default_rng(s).multinomial(
+            shots, einsum_pattern(member, R1, R2)
+        )
+    return counts
+
+
+def family_pairs(family):
+    rng = np.random.default_rng(24)
+    if family == "basis":
+        return [(basis_state(a), basis_state(b)) for a in range(4) for b in range(4)]
+    if family == "bell":
+        return [(bell_state(a), bell_state(b)) for a in range(4) for b in range(4)]
+    if family == "equal":
+        rho = random_state(4, seed=rng)
+        return [(rho, rho)]
+    if family == "rank-2":
+        return [tuple(random_state(4, "rank-constrained", rng, rank=2) for _ in range(2)) for _ in range(3)]
+    return [tuple(random_state(4, family, rng) for _ in range(2)) for _ in range(3)]
+
+
+class TestStackedProgram:
+    @pytest.mark.parametrize("family", ["ginibre", "pure", "rank-2", "equal", "basis", "bell"])
+    def test_every_row_equals_its_members_own_contraction(self, plan, family):
+        """Bit for bit, the one-edge within-copy members included."""
+        program = _sampling_program(plan)
+        members = list(_plan_members(plan).values())
+        within = [m for m in members if m.n_edges == 1 and m.edges[0][0] // 2 == m.edges[0][1] // 2]
+        assert len(within) == 2
+        assert {row for row, _ in program.singles} == {members.index(m) for m in within}
+        assert max(len(rows) for rows, _ in program.groups) > 1
+        for rho1, rho2 in family_pairs(family):
+            R1, R2 = to_correlation(rho1), to_correlation(rho2)
+            patterns = _plan_patterns(program, R1, R2)
+            for row, member in enumerate(members):
+                width = 2**member.n_edges
+                want = einsum_pattern(member, R1, R2)
+                assert np.array_equal(patterns[row, :width], want), (family, str(member))
+                assert np.array_equal(pattern_distribution(member, R1, R2), want), (family, str(member))
+                assert not patterns[row, width:].any()
+
+    @pytest.mark.parametrize("ensemble", ["ginibre", "pure", "equal"])
+    def test_reports_equal_a_per_member_sampler(self, forms, ensemble, monkeypatch):
+        plan = TestCompiledEstimator.fresh_plan(forms)
+        rng = np.random.default_rng(25)
+        cases = []
+        for seed in (3, 40, 977):
+            rho1 = random_state(4, "pure" if ensemble == "pure" else "ginibre", rng)
+            rho2 = rho1 if ensemble == "equal" else random_state(4, ensemble, rng)
+            cases += [(rho1, rho2, shots, seed) for shots in (10_000, 1_000_000)]
+        got = [estimate_distances(a, b, forms, shots=n, seed=s, plan=plan) for a, b, n, s in cases]
+        monkeypatch.setattr(
+            interferometer, "_sample_plan", lambda program, *args: reference_sample_plan(plan, *args)
+        )
+        want = [estimate_distances(a, b, forms, shots=n, seed=s, plan=plan) for a, b, n, s in cases]
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    def test_non_physical_state_raises_from_a_stack(self, plan, forms):
+        """A stack reports its first invalid row, wherever that row stands."""
+        program = _sampling_program(plan)
+        members = list(_plan_members(plan).values())
+        rho1, rho2 = np.diag([1.5, -0.5, 0.0, 0.0]), np.eye(4) / 4.0
+        R1, R2 = to_correlation(rho1), to_correlation(rho2)
+        behind_a_valid_row = 0
+        for rows, group in program.groups:
+            errors = [pattern_error(members[row], R1, R2) for row in rows]
+            invalid = [e for e in errors if e is not None]
+            if not invalid:
+                continue
+            with pytest.raises(ValueError) as err:
+                _group_patterns(group, np.stack([R1, R2]))
+            assert str(err.value) == invalid[0]
+            behind_a_valid_row += errors[0] is None
+        assert behind_a_valid_row
+        with pytest.raises(ValueError, match="joint pattern distribution invalid"):
+            estimate_distances(rho1, rho2, forms, shots=100, plan=plan)
 
 
 def reference_stat_values(forms, keys, phat, cov):

@@ -1,5 +1,10 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +21,32 @@ def test_every_export_resolves(module):
     """A deletion must take its ``__all__`` entry with it."""
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+
+
+_CACHES_AFTER_IMPORT = """
+import json, sys
+import qoverlap.cli
+sizes = {
+    f"{name}.{attr}": fn.cache_info().currsize
+    for name, module in sorted(sys.modules.items()) if name.startswith("qoverlap")
+    for attr, fn in vars(module).items()
+    if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name
+}
+print(json.dumps(sizes))
+"""
+
+
+def test_cli_import_builds_no_cache():
+    """Importing the CLI plans no contraction and builds no program or parser: all wait for first use."""
+    src = str(Path(qoverlap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _CACHES_AFTER_IMPORT], env=env, check=True, capture_output=True, text=True
+    )
+    sizes = json.loads(done.stdout)
+    assert {
+        "qoverlap.graphs._contraction_steps",
+        "qoverlap.interferometer._pattern_group",
+        "qoverlap.cli._parser",
+    } <= set(sizes)
+    assert not any(sizes.values()), sizes
