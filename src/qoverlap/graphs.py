@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModeLayout, ginibre_states, to_correlation
+from .core import ModeLayout
 
 __all__ = [
     "ETA",
@@ -45,11 +45,6 @@ __all__ = [
 #: Signature of the singlet projector in the Pauli basis:
 #: ``P^- = (1/4) sum_i ETA[i] sigma_i x sigma_i``.
 ETA = np.array([1.0, -1.0, -1.0, -1.0])
-
-# Seed for the probability-vector fingerprints used to merge classes that
-# are distinct as edge sets but identical as functionals.
-_FINGERPRINT_SEED = 20240817
-_FINGERPRINT_PAIRS = 56
 
 
 def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
@@ -255,26 +250,17 @@ def is_connected_spanning(layout: ModeLayout, edges) -> bool:
     return len(comps) == 1 and len(comps[0]) == layout.n_copies
 
 
-def _fingerprint_states() -> tuple[np.ndarray, np.ndarray]:
-    """Correlation matrices of the fingerprint pairs, drawn pair by pair."""
-    rng = np.random.default_rng(_FINGERPRINT_SEED)
-    R = to_correlation(ginibre_states(rng, (_FINGERPRINT_PAIRS, 2)))
-    R1s, R2s = R.swapaxes(0, 1).copy()
-    return R1s, R2s
-
-
 @lru_cache(maxsize=None)
 def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
     """Connected graph classes on every layout with at most ``max_copies`` copies.
 
-    Graphs are deduplicated by canonical form under copy exchange, and
-    classes whose probability functionals agree on a fixed random ensemble
-    (rounded at 1e-10) are merged as well, so no two returned classes are
-    equivalent as measurements.  Connected
-    classes generate everything else: a disconnected graph's probability
-    is the product over its components, and untouched copies are
-    dropped.  Deterministic ordering.  The enumeration runs once per
-    ``max_copies`` and process; later calls return the same tuple.
+    Graphs are deduplicated by canonical form under copy exchange; no two
+    of the resulting classes share a probability functional (the tests
+    check this on random pairs).  Connected classes generate everything
+    else: a disconnected graph's probability is the product over its
+    components, and untouched copies are dropped.  Deterministic
+    ordering.  The enumeration runs once per ``max_copies`` and process;
+    later calls return the same tuple.
     """
     classes: dict[tuple, MeasurementGraph] = {}
     for n1 in range(max_copies + 1):
@@ -287,12 +273,7 @@ def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
                     continue
                 g = MeasurementGraph(layout, edges).canonical()
                 classes.setdefault(g.key(), g)
-    R1s, R2s = _fingerprint_states()
-    seen: dict[tuple, MeasurementGraph] = {}
-    for g in sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)):
-        fp = tuple(np.round(probability_batch(g, R1s, R2s), 10))
-        seen.setdefault(fp, g)
-    return tuple(sorted(seen.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)))
+    return tuple(sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +328,7 @@ def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, tuple[tuple[int, str],
 
 
 @lru_cache(maxsize=None)
-def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...], stack: int = 1) -> tuple | None:
+def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     """The steps of ``np.einsum(spec, ..., optimize="greedy")``, planned once per subscripts and shapes.
 
     Each step is recorded as the call that ``np.einsum`` makes for it,
@@ -355,18 +336,10 @@ def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...], stack: in
     single operand or three and more, :func:`_pair_step` for two.
     Replaying them (:func:`contract`) gives the same bits without
     re-planning the path on every call.
-
-    With ``stack`` above 1 the path is still planned on ``shapes``, those
-    of one contraction, but the steps run ``stack`` of them at once,
-    stacked along the batch index ``s``.  A pair step whose ``s`` operand
-    keeps no other index is a matrix-vector product that the stack turns
-    into a matrix-matrix product, which sums in another order; the stack
-    then gives None and its contractions run one at a time.
     """
     lhs, out = spec.split("->")
     terms = lhs.split(",")
     size = {ix: d for t, shape in zip(terms, shapes) for ix, d in zip(t, shape)}
-    stacked = {**size, "s": stack} if stack > 1 else size
     path = np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
     steps = []
     for n, inds in enumerate(path[1:], 2):
@@ -377,28 +350,9 @@ def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...], stack: in
         kept = {ix for t in inputs for ix in t if ix in needed}
         result = out if n == len(path) else "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
         eq = ",".join(inputs) + "->" + result
-        if len(inputs) == 2:
-            if stack > 1 and _widens_vector(*inputs, result, size):
-                return None
-            steps.append((inds, _pair_step(eq, stacked)))
-        else:
-            steps.append((inds, partial(np.einsum, eq)))
+        steps.append((inds, _pair_step(eq, size) if len(inputs) == 2 else partial(np.einsum, eq)))
         terms.append(result)
     return tuple(steps)
-
-
-def _widens_vector(ta: str, tb: str, out: str, size: dict) -> bool:
-    """Whether stacking on ``s`` turns the pair step ``ta,tb->out`` from matrix-vector into matrix-matrix.
-
-    It does when the step sums an index (a ``matmul`` in :func:`_pair_step`)
-    and the one operand holding ``s`` keeps no other index of size above 1.
-    """
-    if not any(ix in tb and ix not in out and size[ix] > 1 for ix in ta):
-        return False
-    for t, other in ((ta, tb), (tb, ta)):
-        if "s" in t and "s" not in other:
-            return not any(ix != "s" and ix not in other and ix in out and size[ix] > 1 for ix in t)
-    return False
 
 
 def _pair_step(eq: str, size: dict):
@@ -454,13 +408,8 @@ def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
     them, each step on the operands it pops, its result appended.  Every
     index must occur at most once per term.
     """
-    return _replay(_contraction_steps(spec, tuple(op.shape for op in operands)), operands)
-
-
-def _replay(steps: tuple, operands) -> np.ndarray:
-    """Run recorded :func:`_contraction_steps`, each on the operands it pops, its result appended."""
     operands = list(operands)
-    for inds, step in steps:
+    for inds, step in _contraction_steps(spec, tuple(op.shape for op in operands)):
         operands.append(step(*[operands.pop(k) for k in inds]))
     return operands[0]
 

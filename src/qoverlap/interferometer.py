@@ -6,13 +6,14 @@ all-singlet coincidence frequency estimates the graph probability.  One
 prepared configuration member yields the joint outcome pattern of all its
 edges, so every sub-graph statistic comes out of the same counts.  The
 simulation computes the members' exact pattern distributions with
-contractions that carry an outcome axis per edge, one per group of members
-sharing their subscripts, stacked along a member axis (the steps of
-:func:`~qoverlap.graphs.contract`, the package's one contraction engine,
-planned once per member shape and replayed on the stack).  It draws each
-member's patterns multinomially from its own stream, reads every sub-graph
-frequency and covariance off one superset sum of the zero-padded counts,
-and propagates shot noise through the distance formulas.
+contractions that carry an outcome axis per edge, one
+:func:`~qoverlap.graphs.contract` per group of members sharing their
+subscripts, stacked along a member axis.  Pattern entries at or below
+``PATTERN_TOL`` are set to exactly 0, so rounding noise around a true 0,
+which differs with the summation order, never reaches the sampler.  It
+draws each member's patterns multinomially from its own stream, reads every
+sub-graph frequency and covariance off one superset sum of the zero-padded
+counts, and propagates shot noise through the distance formulas.
 
 A "photon pair" is one two-qubit copy; hardware-level boson statistics
 are out of scope (the antibunching event is abstracted to the singlet
@@ -31,10 +32,9 @@ from .core import __version__, assemble, to_correlation
 from .graphs import (
     ETA,
     MeasurementGraph,
-    _contraction_steps,
     _copy_operands,
     _einsum_recipe,
-    _replay,
+    contract,
     probability_batch,
 )
 from .oracle import distance_set
@@ -53,9 +53,10 @@ __all__ = [
     "STAT_NAMES",
 ]
 
-PATTERN_TOL = 1e-9       # tolerated leakage when normalizing a joint distribution
+PATTERN_TOL = 1e-9       # tolerated leakage of a joint distribution; entries at or below it read 0
 DEGENERATE_SIGMA = 4.0   # radicand within this many sigma of 0 -> guarded error bar
 BOOTSTRAP_DEFAULT = 200
+CONFIGURATION_COPIES = 6  # copies one configuration may prepare at once
 
 
 class PlanError(ValueError):
@@ -144,44 +145,40 @@ def _superset_sums(v: np.ndarray) -> np.ndarray:
 
 
 class _PatternGroup(NamedTuple):
-    """Members sharing their pattern contraction, replayed as one stack (see :func:`_pattern_group`)."""
+    """Members sharing their pattern contraction, contracted as one stack (see :func:`_pattern_group`)."""
 
+    spec: str            # the members' pattern subscripts
     n_edges: int
     copy_plan: tuple     # (copy position + 1, slice kind) per copy
     states: np.ndarray   # (copy, member) -> state index 0 or 1
-    steps: tuple         # the contraction's steps for the whole stack
 
 
 @lru_cache(maxsize=None)
-def _pattern_group(members: tuple[MeasurementGraph, ...]) -> _PatternGroup | None:
+def _pattern_group(members: tuple[MeasurementGraph, ...]) -> _PatternGroup:
     """The stacked pattern contraction of members with equal subscripts and copy slices.
 
     Copy ``c`` of every member is read from the stack of both states'
-    matrices through the member's state selector ``states[c]``.  The path
-    is planned for one member and every step replayed on the stack
-    (:func:`~qoverlap.graphs._contraction_steps`), so each row has the
-    bits of its member's own contraction; None when the steps cannot keep
-    them.
+    matrices through the member's state selector ``states[c]``, and the
+    batch index ``s`` runs over the stack.
     """
     spec, copy_plan = _pattern_contraction(members[0])
-    R = np.empty((1, 4, 4))
-    shapes = tuple(op.shape for op in [_OUTCOME_ETA] * members[0].n_edges + _copy_operands(copy_plan, R, R))
-    steps = _contraction_steps(spec, shapes, len(members))
-    if steps is None:
-        return None
     states = np.array([[sid - 1 for sid, _ in _pattern_contraction(m)[1]] for m in members]).T
     kinds = tuple((c + 1, kind) for c, (_, kind) in enumerate(copy_plan))
-    return _PatternGroup(members[0].n_edges, kinds, states, steps)
+    return _PatternGroup(spec, members[0].n_edges, kinds, states)
 
 
 def _group_patterns(group: _PatternGroup, Rs: np.ndarray) -> np.ndarray:
     """Pattern rows of a group's members for the states ``Rs = [R1, R2]``, each row checked.
 
-    A row more negative than ``PATTERN_TOL`` or off unit sum by more than
-    it raises :class:`ValueError`; rows are clipped at 0 and normalized.
+    One :func:`~qoverlap.graphs.contract` over the stack, planned on its
+    stacked shapes.  A row more negative than ``PATTERN_TOL`` or off unit
+    sum by more than it raises :class:`ValueError`.  Entries at or below
+    ``PATTERN_TOL`` are then set to exactly 0 and rows normalized, so an
+    entry that is 0 in exact arithmetic reads 0 whatever the summation
+    order left of it: the multinomial draws no random number for it.
     """
     operands = [_OUTCOME_ETA] * group.n_edges + _copy_operands(group.copy_plan, *Rs[group.states])
-    patterns = _replay(group.steps, operands).reshape(group.states.shape[1], -1) / 4.0**group.n_edges
+    patterns = contract(group.spec, *operands).reshape(group.states.shape[1], -1) / 4.0**group.n_edges
     low, total = patterns.min(axis=1), patterns.sum(axis=1)
     bad = np.flatnonzero((low < -PATTERN_TOL) | (np.abs(total - 1.0) > PATTERN_TOL))
     if bad.size:
@@ -190,7 +187,7 @@ def _group_patterns(group: _PatternGroup, Rs: np.ndarray) -> np.ndarray:
             f"joint pattern distribution invalid: min {low[k]:.3e}, "
             f"sum {total[k]:.12f}"
         )
-    patterns = np.clip(patterns, 0.0, None)
+    patterns[patterns <= PATTERN_TOL] = 0.0
     patterns /= patterns.sum(axis=1, keepdims=True)
     return patterns
 
@@ -200,9 +197,9 @@ def pattern_distribution(graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray
 
     Returns the pattern probabilities indexed by edge bitmask:
     ``pattern[m]`` is the probability that exactly the edges in ``m``
-    antibunch, one contraction over the graph's copies, replayed as a
-    stack of one (:func:`_group_patterns`).  The probability that at
-    least they do is its superset sum, :func:`_superset_sums`.
+    antibunch, one contraction over the graph's copies, checked and
+    floored as a stack of one (:func:`_group_patterns`).  The probability
+    that at least they do is its superset sum, :func:`_superset_sums`.
     """
     return _group_patterns(_pattern_group((graph,)), np.stack([R1, R2]))[0]
 
@@ -276,17 +273,15 @@ class ConfigurationPlan:
         return sum(c.photon_pairs for c in self.configurations)
 
 
-def plan_configurations(
-    graphs, max_copies_per_configuration: int = 6
-) -> ConfigurationPlan:
+def plan_configurations(graphs) -> ConfigurationPlan:
     """Choose what to actually measure for a set of required graphs.
 
     Graphs subsumed by another required graph come free from the host's
     joint V statistics, so only maximal graphs (under the embedding
     order) are prepared.  Maximal graphs are packed first-fit-decreasing
-    into configurations of at most ``max_copies_per_configuration``
-    copies; the reported photon-pair total is the sum over maximal
-    graphs of their copy counts.
+    into configurations of at most ``CONFIGURATION_COPIES`` copies; the
+    reported photon-pair total is the sum over maximal graphs of their
+    copy counts.
     """
     required: dict[tuple, MeasurementGraph] = {}
     for g in graphs:
@@ -307,7 +302,7 @@ def plan_configurations(
     bins: list[list[MeasurementGraph]] = []
     for g in sorted(maximal, key=lambda g: (-g.n_copies, g.counts(), g.edges)):
         for b in bins:
-            if sum(m.n_copies for m in b) + g.n_copies <= max_copies_per_configuration:
+            if sum(m.n_copies for m in b) + g.n_copies <= CONFIGURATION_COPIES:
                 b.append(g)
                 break
         else:
@@ -387,30 +382,20 @@ class _SamplingProgram(NamedTuple):
     """How one estimate computes a plan's patterns (see :func:`_sampling_program`)."""
 
     groups: tuple    # (member rows, _PatternGroup) per stacked group
-    singles: tuple   # (member row, member) contracted one at a time
     widths: tuple    # pattern length, 2**edges, per member row
 
 
 def _sampling_program(plan: ConfigurationPlan) -> _SamplingProgram:
-    """The plan's members grouped by pattern subscripts and copy slices, one stacked contraction per group.
-
-    A group whose contraction cannot be stacked bit for bit
-    (:func:`_pattern_group` gives None) leaves its members to
-    :func:`pattern_distribution`, one at a time.
-    """
+    """The plan's members grouped by pattern subscripts and copy slices, one stacked contraction per group."""
     members = list(_plan_members(plan).values())
     by_subscripts: dict[tuple, list[int]] = {}
     for row, member in enumerate(members):
         spec, copy_plan = _pattern_contraction(member)
         by_subscripts.setdefault((spec, tuple(kind for _, kind in copy_plan)), []).append(row)
-    groups, singles = [], []
-    for rows in by_subscripts.values():
-        group = _pattern_group(tuple(members[r] for r in rows))
-        if group is None:
-            singles += [(r, members[r]) for r in rows]
-        else:
-            groups.append((np.array(rows), group))
-    return _SamplingProgram(tuple(groups), tuple(singles), tuple(2**m.n_edges for m in members))
+    groups = tuple(
+        (np.array(rows), _pattern_group(tuple(members[r] for r in rows))) for rows in by_subscripts.values()
+    )
+    return _SamplingProgram(groups, tuple(2**m.n_edges for m in members))
 
 
 def _plan_patterns(program: _SamplingProgram, R1, R2) -> np.ndarray:
@@ -419,8 +404,6 @@ def _plan_patterns(program: _SamplingProgram, R1, R2) -> np.ndarray:
     Rs = np.stack([R1, R2])
     for rows, group in program.groups:
         patterns[rows, : 2**group.n_edges] = _group_patterns(group, Rs)
-    for row, member in program.singles:
-        patterns[row, : program.widths[row]] = pattern_distribution(member, R1, R2)
     return patterns
 
 
@@ -593,6 +576,26 @@ def _guarded_sqrt_err(u: float, var_u: float) -> tuple[float, float]:
     return root, float(su / (2.0 * root))
 
 
+def _o12_plus_root(C, i: int, o12, radicand, grad: np.ndarray) -> tuple[float, float]:
+    """Value and std err of ``o12 + sqrt(max(radicand, 0))``, the shape of subfidelity and superfidelity.
+
+    ``i`` indexes o12 in the statistics' covariance ``C`` and ``grad`` is
+    the radicand's gradient over them.  Away from a degenerate radicand
+    the delta method runs on the whole sum.  In a degenerate branch the
+    root's error scale stands alone and can fall below the error of o12,
+    which the sum carries in full; the two are added in quadrature.
+    """
+    var = float(grad @ C @ grad)
+    root, err = _guarded_sqrt_err(radicand, var)
+    if radicand > DEGENERATE_SIGMA * np.sqrt(max(var, 0.0)):
+        g = grad / (2.0 * root)
+        g[i] += 1.0
+        err = float(np.sqrt(max(g @ C @ g, 0.0)))
+    else:
+        err = float(np.sqrt(err**2 + max(C[i, i], 0.0)))
+    return o12 + root, err
+
+
 def _lenient_trace_distance(pi2: float, pi3: float, pi4: float) -> float:
     """Quartic-root trace distance tolerating noisy (slightly complex) roots."""
     return float(0.5 * np.abs(characteristic_roots(pi2, pi3, pi4).real).sum())
@@ -692,46 +695,19 @@ def estimate_distances(
 
     idx = {n: i for i, n in enumerate(names)}
 
-    def entry(n):
-        return values[idx[n]]
-
-    # In a degenerate branch the root's error scale stands alone and can
-    # fall below the error of o12, which E and G carry in full; the two
-    # are added in quadrature.
-    o12_var = max(C[idx["o12"], idx["o12"]], 0.0)
+    o12, i12 = stat["o12"], idx["o12"]
 
     # Subfidelity E = o12 + sqrt(2(o12^2 - o2))
-    u = 2.0 * (entry("o12") ** 2 - stat["o2"])
     gu = np.zeros(len(names))
-    gu[idx["o12"]] = 4.0 * entry("o12")
+    gu[i12] = 4.0 * o12
     gu[idx["o2"]] = -2.0
-    var_u = float(gu @ C @ gu)
-    root_u, err_root_u = _guarded_sqrt_err(u, var_u)
-    e_est = entry("o12") + root_u
-    if u > DEGENERATE_SIGMA * np.sqrt(max(var_u, 0.0)):
-        ge = np.zeros(len(names))
-        ge[idx["o12"]] = 1.0 + 2.0 * entry("o12") / root_u
-        ge[idx["o2"]] = -1.0 / root_u
-        e_err = float(np.sqrt(max(ge @ C @ ge, 0.0)))
-    else:
-        e_err = float(np.sqrt(err_root_u**2 + o12_var))
+    e_est, e_err = _o12_plus_root(C, i12, o12, 2.0 * (o12**2 - stat["o2"]), gu)
 
     # Superfidelity G = o12 + sqrt((1-o11)(1-o22))
-    v = (1.0 - entry("o11")) * (1.0 - entry("o22"))
     gv = np.zeros(len(names))
-    gv[idx["o11"]] = -(1.0 - entry("o22"))
-    gv[idx["o22"]] = -(1.0 - entry("o11"))
-    var_v = float(gv @ C @ gv)
-    root_v, err_root_v = _guarded_sqrt_err(v, var_v)
-    g_est = entry("o12") + root_v
-    if v > DEGENERATE_SIGMA * np.sqrt(max(var_v, 0.0)):
-        gg = np.zeros(len(names))
-        gg[idx["o11"]] = -(1.0 - entry("o22")) / (2.0 * root_v)
-        gg[idx["o22"]] = -(1.0 - entry("o11")) / (2.0 * root_v)
-        gg[idx["o12"]] = 1.0
-        g_err = float(np.sqrt(max(gg @ C @ gg, 0.0)))
-    else:
-        g_err = float(np.sqrt(err_root_v**2 + o12_var))
+    gv[idx["o11"]] = -(1.0 - stat["o22"])
+    gv[idx["o22"]] = -(1.0 - stat["o11"])
+    g_est, g_err = _o12_plus_root(C, i12, o12, (1.0 - stat["o11"]) * (1.0 - stat["o22"]), gv)
 
     # Hilbert-Schmidt H = sqrt(pi2)
     h_est, h_err = _guarded_sqrt_err(pi2, var_pi2)

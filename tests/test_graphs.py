@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoverlap.core import ModeLayout, random_state, to_correlation
+from qoverlap.core import ModeLayout, ginibre_states, random_state, to_correlation
 from qoverlap.graphs import (
     MeasurementGraph,
-    _FINGERPRINT_PAIRS,
-    _FINGERPRINT_SEED,
     _copy_operands,
     _einsum_recipe,
-    _fingerprint_states,
     _normalize_edges,
     connected_components,
     count_matchings,
@@ -53,8 +50,18 @@ def reference_canonical(graph):
     return MeasurementGraph(g.layout, best)
 
 
+def fingerprints(classes):
+    """Each class's probabilities on 56 fixed random Ginibre pairs, rounded at 1e-10."""
+    R1s, R2s = to_correlation(ginibre_states(np.random.default_rng(20240817), (56, 2))).swapaxes(0, 1)
+    return [tuple(np.round(probability_batch(g, R1s, R2s), 10)) for g in classes]
+
+
 def reference_class_keys(max_copies):
-    """Keys of ``enumerate_classes`` rebuilt by brute force on the reference canonical form."""
+    """Keys of ``enumerate_classes`` rebuilt by brute force on the reference canonical form.
+
+    No two of the classes share a fingerprint, so none is the same
+    measurement as another.
+    """
     order = lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)  # noqa: E731
     classes = {}
     for n1 in range(max_copies + 1):
@@ -66,25 +73,9 @@ def reference_class_keys(max_copies):
                 if edges and is_connected_spanning(layout, edges):
                     g = reference_canonical(MeasurementGraph(layout, edges))
                     classes.setdefault(g.key(), g)
-    R1s, R2s = _fingerprint_states()
-    seen = {}
-    for g in sorted(classes.values(), key=order):
-        seen.setdefault(tuple(np.round(probability_batch(g, R1s, R2s), 10)), g)
-    return [g.key() for g in sorted(seen.values(), key=order)]
-
-
-def test_fingerprint_states_match_the_pair_loop():
-    """The batch draw reproduces the pair-by-pair loop, state 1 then state 2, bitwise."""
-    rng = np.random.default_rng(_FINGERPRINT_SEED)
-    R1s, R2s = [], []
-    for _ in range(_FINGERPRINT_PAIRS):
-        for acc in (R1s, R2s):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = g @ g.conj().T
-            acc.append(to_correlation(rho / rho.trace().real))
-    got = _fingerprint_states()
-    assert all(R.flags.c_contiguous for R in got)
-    assert np.array_equal(got[0], np.array(R1s)) and np.array_equal(got[1], np.array(R2s))
+    ordered = sorted(classes.values(), key=order)
+    assert len(set(fingerprints(ordered))) == len(ordered)
+    return [g.key() for g in ordered]
 
 
 @st.composite

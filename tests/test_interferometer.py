@@ -23,6 +23,7 @@ from qoverlap.interferometer import (
     _pattern_contraction,
     _plan_members,
     _plan_patterns,
+    _sample_plan,
     _sampling_program,
     _stat_values,
     _superset_sums,
@@ -311,7 +312,7 @@ class TestGraphEstimates:
 
 
 def einsum_pattern(member, R1, R2):
-    """One member's pattern, planned by ``np.einsum`` on its own, then checked, clipped and normalized."""
+    """One member's pattern, planned by ``np.einsum`` on its own, then checked, floored and normalized."""
     spec, copy_plan = _pattern_contraction(member)
     operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
     pattern = np.einsum(spec, *operands, optimize="greedy").reshape(-1) / 4.0**member.n_edges
@@ -319,7 +320,7 @@ def einsum_pattern(member, R1, R2):
         raise ValueError(
             f"joint pattern distribution invalid: min {pattern.min():.3e}, sum {pattern.sum():.12f}"
         )
-    pattern = np.clip(pattern, 0.0, None)
+    pattern[pattern <= PATTERN_TOL] = 0.0
     pattern /= pattern.sum()
     return pattern
 
@@ -362,12 +363,17 @@ def family_pairs(family):
 class TestStackedProgram:
     @pytest.mark.parametrize("family", ["ginibre", "pure", "rank-2", "equal", "basis", "bell"])
     def test_every_row_equals_its_members_own_contraction(self, plan, family):
-        """Bit for bit, the one-edge within-copy members included."""
+        """To 1e-15 with the same zeros, the one-edge within-copy members included.
+
+        A stack sums in another order than its members' own contractions,
+        so rows may differ in their last bits; the floor leaves them the
+        same zero entries.  The one-member case is bit for bit.
+        """
         program = _sampling_program(plan)
         members = list(_plan_members(plan).values())
         within = [m for m in members if m.n_edges == 1 and m.edges[0][0] // 2 == m.edges[0][1] // 2]
         assert len(within) == 2
-        assert {row for row, _ in program.singles} == {members.index(m) for m in within}
+        assert sorted(row for rows, _ in program.groups for row in rows) == list(range(len(members)))
         assert max(len(rows) for rows, _ in program.groups) > 1
         for rho1, rho2 in family_pairs(family):
             R1, R2 = to_correlation(rho1), to_correlation(rho2)
@@ -375,25 +381,65 @@ class TestStackedProgram:
             for row, member in enumerate(members):
                 width = 2**member.n_edges
                 want = einsum_pattern(member, R1, R2)
-                assert np.array_equal(patterns[row, :width], want), (family, str(member))
+                got = patterns[row, :width]
+                assert np.abs(got - want).max() <= 1e-15, (family, str(member))
+                assert np.array_equal(got == 0.0, want == 0.0), (family, str(member))
                 assert np.array_equal(pattern_distribution(member, R1, R2), want), (family, str(member))
                 assert not patterns[row, width:].any()
 
-    @pytest.mark.parametrize("ensemble", ["ginibre", "pure", "equal"])
+    @pytest.mark.parametrize("ensemble", ["ginibre", "pure", "equal", "rank-2", "basis", "bell"])
     def test_reports_equal_a_per_member_sampler(self, forms, ensemble, monkeypatch):
         plan = TestCompiledEstimator.fresh_plan(forms)
         rng = np.random.default_rng(25)
         cases = []
         for seed in (3, 40, 977):
-            rho1 = random_state(4, "pure" if ensemble == "pure" else "ginibre", rng)
-            rho2 = rho1 if ensemble == "equal" else random_state(4, ensemble, rng)
-            cases += [(rho1, rho2, shots, seed) for shots in (10_000, 1_000_000)]
+            if ensemble in ("ginibre", "pure", "equal"):
+                rho1 = random_state(4, "pure" if ensemble == "pure" else "ginibre", rng)
+                pairs = [(rho1, rho1 if ensemble == "equal" else random_state(4, ensemble, rng))]
+            else:
+                pairs = family_pairs(ensemble)
+            cases += [(rho1, rho2, shots, seed) for rho1, rho2 in pairs for shots in (10_000, 1_000_000)]
         got = [estimate_distances(a, b, forms, shots=n, seed=s, plan=plan) for a, b, n, s in cases]
         monkeypatch.setattr(
             interferometer, "_sample_plan", lambda program, *args: reference_sample_plan(plan, *args)
         )
         want = [estimate_distances(a, b, forms, shots=n, seed=s, plan=plan) for a, b, n, s in cases]
         assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    @pytest.mark.parametrize("tiny", [1e-17, PATTERN_TOL / 2])
+    def test_entry_within_the_tolerance_gets_no_counts_and_no_draw(self, plan, tiny, monkeypatch):
+        """An entry in (0, PATTERN_TOL] reads exactly 0, so the member's stream is that of a true 0.
+
+        numpy's multinomial draws a random number for every entry above 0
+        ahead of the last one it needs, and none for an entry of 0.
+        """
+        program = _sampling_program(plan)
+        R1, R2 = to_correlation(basis_state(0)), to_correlation(bell_state(2))
+        exact, counts = _plan_patterns(program, R1, R2), _sample_plan(program, R1, R2, 1000, 5)
+        lifted = []
+
+        def lift(spec, *operands):
+            """The contraction, each member's first zero ahead of its last nonzero entry lifted to ``tiny``."""
+            raw = contract(spec, *operands)
+            rows = raw.reshape(len(raw), -1).copy()
+            for row in rows:
+                zeros = np.flatnonzero(row[: np.flatnonzero(row)[-1]] == 0.0)
+                if zeros.size:
+                    lifted.append((row / row.size**2, zeros[0]))
+                    row[zeros[0]] = tiny * row.size**2  # 4**edges times the pattern entry
+            return rows.reshape(raw.shape)
+
+        monkeypatch.setattr(interferometer, "contract", lift)
+        assert np.array_equal(_plan_patterns(program, R1, R2), exact)
+        assert np.array_equal(_sample_plan(program, R1, R2, 1000, 5), counts)
+        assert len(lifted) > 1
+        pattern, k = lifted[0]
+        draws = []
+        for entry in (0.0, tiny):
+            rng = np.random.default_rng(5)
+            rng.multinomial(1000, np.where(np.arange(pattern.size) == k, entry, pattern))
+            draws.append(rng.random())
+        assert draws[0] != draws[1]
 
     def test_non_physical_state_raises_from_a_stack(self, plan, forms):
         """A stack reports its first invalid row, wherever that row stands."""

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -50,3 +51,16 @@ def test_cli_import_builds_no_cache():
         "qoverlap.cli._parser",
     } <= set(sizes)
     assert not any(sizes.values()), sizes
+
+
+def test_einsum_path_only_in_the_contraction_engine():
+    """``np.einsum_path`` appears in the package only inside ``graphs._contraction_steps``."""
+    places = set()
+    for path in sorted(Path(qoverlap.__file__).resolve().parent.rglob("*.py")):
+        source = path.read_text()
+        defs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "einsum_path" in line:
+                inner = [d.name for d in defs if d.lineno <= lineno <= d.end_lineno]  # outermost first
+                places.add((path.name, inner[-1] if inner else None))
+    assert places == {("graphs.py", "_contraction_steps")}
