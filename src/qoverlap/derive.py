@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, product, takewhile
+from itertools import combinations, product
 from math import prod
 from typing import Callable, Iterable, NamedTuple
 
@@ -52,8 +52,6 @@ __all__ = [
 
 SNAP_TOL = 1e-7          # distance to the nearest k/3 at which we snap
 FIT_TOL = 1e-9           # max residual for a support to count as exact
-NOISE_WEIGHT = 1e-9      # _prune: relative weight of a column whose coefficient is rounding noise
-FAILED_MARGIN = 1e3      # _prune: removal residual, in FIT_TOL, past which a column stays failed
 HOLDOUT_TOL = 1e-8       # contract: held-out residual bound
 HOLDOUT_PAIRS = 500
 EXACT_CHECK_PAIRS = 24   # rational state pairs used for certification
@@ -574,24 +572,21 @@ def _sample_ensemble(
     return to_correlation(rhos1), to_correlation(rhos2), rhos1, rhos2
 
 
-#: (basis id, samples, seed) -> fit/holdout ensembles, design matrices, rank.
-#: :func:`build_basis` returns one basis per copy count and process, so the
-#: fits on one basis share an entry and skip redrawing the ensembles and
-#: rebuilding the design matrix.
-_DESIGN_CACHE: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _design_context(basis: MonomialBasis, samples: int, seed: int):
-    key = (id(basis), basis.max_copies, basis.n_monomials, samples, seed)
-    if key not in _DESIGN_CACHE:
-        rng = np.random.default_rng(seed)
-        R1s, R2s, rhos1, rhos2 = _sample_ensemble(rng, samples)
-        A = basis.design_matrix(R1s, R2s)
-        rank = int(np.linalg.matrix_rank(A, tol=1e-8))
-        H1s, H2s, h1, h2 = _sample_ensemble(rng, HOLDOUT_PAIRS)
-        P_hold = basis.graph_matrix(H1s, H2s)
-        _DESIGN_CACHE[key] = (A, rhos1, rhos2, rank, P_hold, h1, h2)
-    return _DESIGN_CACHE[key]
+    """Fit and held-out ensembles, the design matrix and its rank, once per argument set.
+
+    :func:`build_basis` returns one basis per copy count and process, so
+    the fits on one basis share an entry and skip redrawing the ensembles
+    and rebuilding the design matrix.
+    """
+    rng = np.random.default_rng(seed)
+    R1s, R2s, rhos1, rhos2 = _sample_ensemble(rng, samples)
+    A = basis.design_matrix(R1s, R2s)
+    rank = int(np.linalg.matrix_rank(A, tol=1e-8))
+    H1s, H2s, h1, h2 = _sample_ensemble(rng, HOLDOUT_PAIRS)
+    P_hold = basis.graph_matrix(H1s, H2s)
+    return A, rhos1, rhos2, rank, P_hold, h1, h2
 
 
 def _support_solve(A: np.ndarray, y: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
@@ -600,26 +595,38 @@ def _support_solve(A: np.ndarray, y: np.ndarray, support: list[int]) -> tuple[np
     return coef, resid
 
 
-def _r_factor(A: np.ndarray, y: np.ndarray, columns: list[int]) -> np.ndarray:
-    """R factor of ``[A[:, columns] y]``, for :func:`_factor_solve`."""
-    return np.linalg.qr(np.column_stack([A[:, columns], y]), mode="r")
+def _kernel_form(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm fit ``c0`` of y on A's columns and an orthonormal basis ``N`` of A's kernel.
 
-
-def _factor_solve(
-    A: np.ndarray, y: np.ndarray, R: np.ndarray, columns: list[int], keep: list[int]
-) -> tuple[np.ndarray, float]:
-    """:func:`_support_solve` on ``columns[keep]``, solved on R's columns.
-
-    ``R`` is the R factor of ``[A[:, columns] y]``.  That matrix is Q R
-    with orthonormal columns in Q, so every candidate c has
-    ||A_S c - y|| = ||R_S c - r_y||: the least-squares and minimum-norm
-    solutions are the same, on a system with |columns| + 1 rows instead
-    of A's.  The rank cutoff is the one lstsq gives the full system, and
-    the residual is the largest over every row of A.
+    One thin SVD of A, with the rank cut of :func:`_design_context`.
+    Every fit with A's residual is then ``c0 + N @ z``.
     """
-    coef, *_ = np.linalg.lstsq(R[:, keep], R[:, -1], rcond=np.finfo(float).eps * max(A.shape))
-    support = [columns[p] for p in keep]
-    return coef, float(np.abs(A[:, support] @ coef - y).max())
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    r = int((s > 1e-8).sum())
+    return Vt[:r].T @ (U[:, :r].T @ y / s[:r]), Vt[r:].T
+
+
+def _exact_fit(
+    A: np.ndarray, y: np.ndarray, c0: np.ndarray, N: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Minimum-norm fit of y on the columns of A in the mask ``keep``, from A's kernel form.
+
+    The z that makes ``c0 + N @ z`` vanish off ``keep`` solves
+    ``N[~keep] z = -c0[~keep]``: a row per dropped column and one unknown
+    per kernel direction.  It is solved in least squares with singular
+    values up to ``FIT_TOL`` cut; since c0 is orthogonal to the kernel,
+    the minimum-norm z gives the minimum-norm coefficients.  Returns them
+    (0 off ``keep``), the free directions left (an orthonormal basis of
+    the kernel of ``A[:, keep]``, one column each) and the max residual
+    over every row of A, which is below ``FIT_TOL`` only for an exact fit.
+    """
+    drop, k = ~keep, N.shape[1]
+    # k zero rows make the system at least k tall, so Vt spans all of z's space.
+    U, s, Vt = np.linalg.svd(np.vstack([N[drop], np.zeros((k, k))]), full_matrices=False)
+    r = int((s > FIT_TOL).sum())
+    z = -Vt[:r].T @ (U[: drop.sum(), :r].T @ c0[drop] / s[:r])
+    coef = np.where(keep, c0 + N @ z, 0.0)
+    return coef, N @ Vt[r:].T, float(np.abs(A @ coef - y).max())
 
 
 def _prune(
@@ -631,68 +638,39 @@ def _prune(
 ) -> list[int]:
     """Drop columns whose removal keeps the fit exact, until stable.
 
-    Each round solves for the minimum-norm coefficients and tries the
-    columns in a fixed order: those touching the most graph classes
-    outside ``prefer`` first (steering the support toward reuse of an
-    already-required class set), then by coefficient magnitude, then by
-    position.  The first column whose removal leaves the max residual over
-    every row of A below ``FIT_TOL`` is dropped, and the round restarts.
-    The system is factored once (:func:`_factor_solve`); a removal only
-    re-triangularizes the small factor.  Two rules spare solves without
-    changing the support this scan returns:
-
-    * Noise weights.  The leading candidates of the top tier whose weight
-      is at most ``NOISE_WEIGHT`` times the largest have minimum-norm
-      coefficient 0 up to rounding.  Dropping such a column leaves the
-      minimum-norm solution unchanged, so the scan would drop the whole
-      run, one round each, in an order only rounding decides, and the set
-      it ends with does not depend on that order.  The run is dropped in
-      one step when that passes the same residual test; otherwise the
-      round scans one column at a time.
-    * Failed columns.  The least-squares residual never falls when columns
-      are removed, and the max residual lies within a factor sqrt(rows) of
-      its 2-norm.  A column whose removal left a max residual of at least
-      ``FAILED_MARGIN * FIT_TOL`` therefore fails again on every later,
-      smaller support while A has fewer than ``FAILED_MARGIN ** 2`` rows,
-      and is not tried again in this call.
+    Each round takes the minimum-norm coefficients on the columns left
+    and tries the columns in a fixed order: those touching the most graph
+    classes outside ``prefer`` first (steering the support toward reuse
+    of an already-required class set), then by coefficient magnitude,
+    then by position.  The first column whose removal leaves the max
+    residual over every row of A below ``FIT_TOL`` is dropped, and the
+    round restarts.  Every fit is an :func:`_exact_fit` in the kernel of
+    ``A[:, support]``.  A column that no free direction moves keeps its
+    coefficient in every exact fit on fewer columns, so unless that is 0
+    it is not tried.
     """
     support = list(support)
-    R = _r_factor(A, y, support)
-    failed: set[int] = set()
-
-    def outside(col: int) -> int:
-        if prefer is None or basis is None:
-            return 0
-        return len(set(basis.monomials[col]) - prefer)
-
-    while len(support) > 1:
-        everything = list(range(len(support)))
-        coef, _ = _factor_solve(A, y, R, support, everything)
+    S = A[:, support]
+    c0, N = _kernel_form(S, y)
+    keep, coef, free = np.ones(len(support), dtype=bool), c0, N
+    outside = [
+        0 if prefer is None or basis is None else len(set(basis.monomials[col]) - prefer)
+        for col in support
+    ]
+    while keep.sum() > 1:
         weight = np.abs(coef)
-        order = sorted(everything, key=lambda p: (-outside(support[p]), weight[p], p))
-        tier, noise = outside(support[order[0]]), NOISE_WEIGHT * weight.max()
-        run = list(takewhile(lambda p: outside(support[p]) == tier and weight[p] <= noise, order))
-        kept = None
-        if 1 < len(run) < len(support):
-            keep = sorted(set(everything) - set(run))
-            if _factor_solve(A, y, R, support, keep)[1] < FIT_TOL:
-                kept = keep
-        if kept is None:
-            for pos in order:
-                if support[pos] in failed:
-                    continue
-                keep = everything[:pos] + everything[pos + 1 :]
-                _, res = _factor_solve(A, y, R, support, keep)
-                if res < FIT_TOL:
-                    kept = keep
-                    break
-                if res >= FAILED_MARGIN * FIT_TOL:
-                    failed.add(support[pos])
-        if kept is None:
+        stuck = (np.linalg.norm(free, axis=1) < FIT_TOL) & (weight >= FIT_TOL)
+        order = sorted(np.flatnonzero(keep & ~stuck), key=lambda p: (-outside[p], weight[p], p))
+        for p in order:
+            trial = keep.copy()
+            trial[p] = False
+            fit = _exact_fit(S, y, c0, N, trial)
+            if fit[2] < FIT_TOL:
+                keep, (coef, free, _) = trial, fit
+                break
+        else:
             break
-        support = [support[p] for p in kept]
-        R = np.linalg.qr(R[:, kept + [-1]], mode="r")
-    return support
+    return [col for col, kept in zip(support, keep) if kept]
 
 
 def _avoid_classes(
@@ -701,23 +679,20 @@ def _avoid_classes(
     """Columns left after greedily banning graph classes outside ``keep``.
 
     A class is banned when the target still has an exact representation
-    on the monomials that never mention it.  Feasibility is algebraic
-    (the residual either stays at solver noise or jumps by orders of
-    magnitude), so the rarest-class-first scan is stable across sample
-    ensembles.  The column set only shrinks, so the system is factored
-    once, as in :func:`_prune`.
+    on the monomials that never mention it (:func:`_exact_fit` in the
+    kernel of all of A).  Feasibility is algebraic (the residual either
+    stays at solver noise or jumps by orders of magnitude), so the
+    rarest-class-first scan is stable across sample ensembles.
     """
     usage = Counter(i for mono in basis.monomials for i in set(mono))
     outside = sorted(set(usage) - keep, key=lambda i: (usage[i], i))
-    columns = list(range(basis.n_monomials))
-    R = _r_factor(A, y, columns)
+    c0, N = _kernel_form(A, y)
+    columns = np.ones(basis.n_monomials, dtype=bool)
     for cls in outside:
-        trial = [p for p, k in enumerate(columns) if cls not in basis.monomials[k]]
-        _, res = _factor_solve(A, y, R, columns, trial)
-        if res < FIT_TOL:
-            columns = [columns[p] for p in trial]
-            R = np.linalg.qr(R[:, trial + [-1]], mode="r")
-    return columns
+        trial = columns & np.array([cls not in mono for mono in basis.monomials])
+        if _exact_fit(A, y, c0, N, trial)[2] < FIT_TOL:
+            columns = trial
+    return np.flatnonzero(columns).tolist()
 
 
 def fit_coefficients(

@@ -1,9 +1,8 @@
 """Shared fixtures.
 
-The derivation battery is by far the most expensive thing the suite
-runs (about 18 s on a 2-core host with one BLAS thread), so it is
-computed once per session and shared between the unit tests and the
-acceptance gate.
+The derivation battery (about 2 s on a 2-core host with one BLAS
+thread) is computed once per session and shared between the unit tests
+and the acceptance gate.
 """
 import json
 from fractions import Fraction

@@ -64,3 +64,21 @@ def test_einsum_path_only_in_the_contraction_engine():
                 inner = [d.name for d in defs if d.lineno <= lineno <= d.end_lineno]  # outermost first
                 places.add((path.name, inner[-1] if inner else None))
     assert places == {("graphs.py", "_contraction_steps")}
+
+
+def test_no_module_level_cache_dict():
+    """Caches are ``functools.lru_cache`` functions: no module binds a dict it fills at run time."""
+    found = []
+    for path in sorted(Path(qoverlap.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            value = node.value
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict" and not value.args
+            )
+            if empty or any("cache" in name.lower() for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
