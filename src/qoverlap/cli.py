@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -190,25 +191,8 @@ def _distance_payload(args) -> tuple[dict, int]:
             "seed": rep.seed,
             "photon_pairs": rep.photon_pairs,
             "configurations": rep.n_configurations,
-            "statistics": [
-                {
-                    "name": r.name,
-                    "oracle": r.oracle,
-                    "estimate": r.estimate,
-                    "std_err": r.std_err,
-                }
-                for r in rep.statistics
-            ],
-            "measures": [
-                {
-                    "name": r.name,
-                    "oracle": r.oracle,
-                    "formula": r.formula,
-                    "estimate": r.estimate,
-                    "std_err": r.std_err,
-                }
-                for r in rep.measures
-            ],
+            "statistics": [asdict(r) for r in rep.statistics],
+            "measures": [asdict(r) for r in rep.measures],
             "audit": [{"inequality": n, "ok": ok} for n, ok in rep.audit],
         }
         if not rep.audit_ok:

@@ -589,12 +589,6 @@ def _design_context(basis: MonomialBasis, samples: int, seed: int):
     return A, rhos1, rhos2, rank, P_hold, h1, h2
 
 
-def _support_solve(A: np.ndarray, y: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
-    coef, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
-    resid = float(np.abs(A[:, support] @ coef - y).max())
-    return coef, resid
-
-
 def _kernel_form(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm fit ``c0`` of y on A's columns and an orthonormal basis ``N`` of A's kernel.
 
@@ -630,37 +624,31 @@ def _exact_fit(
 
 
 def _prune(
-    A: np.ndarray,
-    y: np.ndarray,
-    support: list[int],
-    basis: MonomialBasis | None = None,
-    prefer: frozenset[int] | None = None,
-) -> list[int]:
+    A: np.ndarray, y: np.ndarray, support: list[int]
+) -> tuple[list[int], np.ndarray, float]:
     """Drop columns whose removal keeps the fit exact, until stable.
 
-    Each round takes the minimum-norm coefficients on the columns left
-    and tries the columns in a fixed order: those touching the most graph
-    classes outside ``prefer`` first (steering the support toward reuse
-    of an already-required class set), then by coefficient magnitude,
-    then by position.  The first column whose removal leaves the max
-    residual over every row of A below ``FIT_TOL`` is dropped, and the
+    The seed's own fit is the minimum-norm fit on every column of
+    ``support``; when its max residual over every row of A is not below
+    ``FIT_TOL``, nothing is dropped.  Otherwise each round takes the
+    minimum-norm coefficients on the columns left and tries the columns
+    by coefficient magnitude, then by position.  The first column whose
+    removal leaves the max residual below ``FIT_TOL`` is dropped, and the
     round restarts.  Every fit is an :func:`_exact_fit` in the kernel of
     ``A[:, support]``.  A column that no free direction moves keeps its
     coefficient in every exact fit on fewer columns, so unless that is 0
-    it is not tried.
+    it is not tried.  Returns the kept columns, their minimum-norm
+    coefficients and the seed fit's max residual.
     """
     support = list(support)
     S = A[:, support]
     c0, N = _kernel_form(S, y)
+    seed_res = float(np.abs(S @ c0 - y).max())
     keep, coef, free = np.ones(len(support), dtype=bool), c0, N
-    outside = [
-        0 if prefer is None or basis is None else len(set(basis.monomials[col]) - prefer)
-        for col in support
-    ]
-    while keep.sum() > 1:
+    while seed_res < FIT_TOL and keep.sum() > 1:
         weight = np.abs(coef)
         stuck = (np.linalg.norm(free, axis=1) < FIT_TOL) & (weight >= FIT_TOL)
-        order = sorted(np.flatnonzero(keep & ~stuck), key=lambda p: (-outside[p], weight[p], p))
+        order = sorted(np.flatnonzero(keep & ~stuck), key=lambda p: (weight[p], p))
         for p in order:
             trial = keep.copy()
             trial[p] = False
@@ -670,7 +658,7 @@ def _prune(
                 break
         else:
             break
-    return [col for col, kept in zip(support, keep) if kept]
+    return [col for col, kept in zip(support, keep) if kept], coef[keep], seed_res
 
 
 def _avoid_classes(
@@ -705,20 +693,20 @@ def fit_coefficients(
     """Fit ``target`` as a sparse rational combination of basis monomials.
 
     Random Ginibre state pairs give an overdetermined linear system for
-    the monomial coefficients.  The candidate support comes from the
-    Pauli-trace-kernel word expansion (:func:`_symbolic_support`); with
-    ``prefer_classes`` a second one comes from banning classes outside
-    that set whenever a representation survives without them
+    the monomial coefficients.  The seed support comes from the
+    Pauli-trace-kernel word expansion (:func:`_symbolic_support`) or,
+    with ``prefer_classes``, from banning classes outside that set
+    whenever a representation survives without them
     (:func:`_avoid_classes`, used to keep the moment workflows on a
-    shared class set).  Each candidate that fits exactly is pruned to a
-    locally minimal support, and a target with none raises
-    :class:`ResidualError`.  The monomials are linearly dependent on the
-    four-copy basis, so solutions are non-unique and flagged as such;
-    the candidate with the fewest distinct graph classes wins.
+    shared class set).  A seed that fits exactly is pruned to a locally
+    minimal support, whose minimum-norm coefficients are the fit; any
+    other seed, or none, raises :class:`ResidualError`.  The monomials
+    are linearly dependent on the four-copy basis, so solutions are
+    non-unique and flagged as such.
     Coefficients within 1e-7 of a third are snapped, and the snapped
     identity is checked with exact rational arithmetic on
     ``EXACT_CHECK_PAIRS`` random rational state pairs.  On a mismatch
-    the fit keeps its float least-squares coefficients and is flagged
+    the fit keeps its float minimum-norm coefficients and is flagged
     neither rational nor certified.  Either way the fit must reproduce
     the target on 500 held-out pairs to 1e-8, else
     :class:`ResidualError`.
@@ -734,35 +722,20 @@ def fit_coefficients(
     y = np.full(len(rhos1), oracle(rhos1, rhos2))
     non_unique = rank < basis.n_monomials
 
-    seeds = [_symbolic_support(target, basis)]
-    if prefer_classes is not None:
-        seeds.append(_avoid_classes(A, y, basis, prefer_classes))
-    candidates: list[list[int]] = []
-    best_res = np.inf
-    for seeded in seeds:
-        if seeded is None:
-            continue
-        _, res = _support_solve(A, y, seeded)
-        best_res = min(best_res, res)
-        if res < FIT_TOL:
-            candidates.append(_prune(A, y, seeded, basis, prefer_classes))
-    if not candidates:
-        if np.isinf(best_res):
-            tried = "no seed applies"
-        else:
-            tried = f"best seeded residual {best_res:.3e} exceeds {FIT_TOL}"
-        raise ResidualError(f"no candidate support found for {target!r} on this basis ({tried})")
-
-    def classes_outside(s: list[int]) -> int:
-        if prefer_classes is None:
-            return 0
-        return len(basis.classes(s) - prefer_classes)
-
-    support = min(
-        (sorted(s) for s in candidates),
-        key=lambda s: (classes_outside(s), len(basis.classes(s)), len(s), s),
-    )
-    coef, _ = _support_solve(A, y, support)
+    if prefer_classes is None:
+        seeded = _symbolic_support(target, basis)
+    else:
+        seeded = _avoid_classes(A, y, basis, prefer_classes)
+    if seeded is None:
+        raise ResidualError(
+            f"no candidate support found for {target!r} on this basis (no seed applies)"
+        )
+    support, coef, seed_res = _prune(A, y, seeded)
+    if seed_res >= FIT_TOL:
+        raise ResidualError(
+            f"no candidate support found for {target!r} on this basis "
+            f"(seeded residual {seed_res:.3e} exceeds {FIT_TOL})"
+        )
 
     # Snap to the thirds grid.
     entries: dict[int, Fraction | float] = {}

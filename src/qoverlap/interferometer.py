@@ -38,7 +38,7 @@ from .graphs import (
     probability_batch,
 )
 from .oracle import distance_set
-from .overlaps import P_MINUS, _quartic_coefficients, characteristic_roots
+from .overlaps import P_MINUS, characteristic_roots
 
 __all__ = [
     "Configuration",
@@ -596,30 +596,6 @@ def _o12_plus_root(C, i: int, o12, radicand, grad: np.ndarray) -> tuple[float, f
     return o12 + root, err
 
 
-def _lenient_trace_distance(pi2: float, pi3: float, pi4: float) -> float:
-    """Quartic-root trace distance tolerating noisy (slightly complex) roots."""
-    return float(0.5 * np.abs(characteristic_roots(pi2, pi3, pi4).real).sum())
-
-
-def _bootstrap_trace_distances(draws: np.ndarray) -> np.ndarray:
-    """:func:`_lenient_trace_distance` of every ``(pi2, pi3, pi4)`` row, pi2 clipped at 0.
-
-    One eigensolve over all rows' companion matrices, built as
-    ``np.roots`` builds them.  ``np.roots`` deflates a zero constant
-    coefficient, so rows with ``det == 0`` (every draw for two equal
-    computational-basis states) take the scalar route.
-    """
-    pi2 = np.where(draws[:, 0] < 0.0, 0.0, draws[:, 0])
-    p = np.column_stack(np.broadcast_arrays(*_quartic_coefficients(pi2, draws[:, 1], draws[:, 2])))
-    companion = np.zeros((len(p), 4, 4))
-    companion[:, 1:, :3] = np.eye(3)
-    companion[:, 0] = -p[:, 1:] / p[:, :1]
-    t = 0.5 * np.abs(np.linalg.eigvals(companion).real).sum(axis=1)
-    for k in np.flatnonzero(p[:, -1] == 0.0):
-        t[k] = _lenient_trace_distance(pi2[k], draws[k, 1], draws[k, 2])
-    return t
-
-
 def estimate_distances(
     rho1: np.ndarray,
     rho2: np.ndarray,
@@ -639,12 +615,12 @@ def estimate_distances(
     one is supplied); statistic errors come from the delta method on the
     joint multinomial counts, and the trace-distance error from a
     parametric bootstrap over the moment estimates: ``bootstrap`` (at
-    least 2) normal draws whose quartics are solved together, one batched
-    eigensolve of their companion matrices.  The chain-inequality
-    audit runs on the oracle values, where a violation indicates a bug
-    rather than shot noise.  Sampling runs on the calling thread;
-    ``threads`` is kept for callers that pass ``threads=1`` and any
-    other value raises :class:`ValueError`.
+    least 2) normal draws.  Their quartics, the point estimate's and the
+    formula's are one :func:`characteristic_roots` call.  The
+    chain-inequality audit runs on the oracle values, where a violation
+    indicates a bug rather than shot noise.  Sampling runs on the calling
+    thread; ``threads`` is kept for callers that pass ``threads=1`` and
+    any other value raises :class:`ValueError`.
 
     What depends only on the plan and the forms is compiled once: the
     plan's sampling program (:func:`_sampling_program`) and host index
@@ -712,9 +688,10 @@ def estimate_distances(
     # Hilbert-Schmidt H = sqrt(pi2)
     h_est, h_err = _guarded_sqrt_err(pi2, var_pi2)
 
-    # Trace distance by quartic roots; errors by parametric bootstrap.
+    # Trace distance by quartic roots; errors by parametric bootstrap.  The
+    # point estimate, every draw (both with pi2 clipped at 0) and the
+    # formula's exact moments are solved together.
     pi3, pi4 = stat["pi3"], stat["pi4"]
-    t_est = _lenient_trace_distance(max(pi2, 0.0), pi3, pi4)
     moment_w = np.vstack([w_pi2, np.eye(len(names))[idx["pi3"]], np.eye(len(names))[idx["pi4"]]])
     Cm = moment_w @ C @ moment_w.T
     Cm = 0.5 * (Cm + Cm.T)
@@ -722,31 +699,24 @@ def estimate_distances(
     Cm = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     brng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
     draws = brng.multivariate_normal([pi2, pi3, pi4], Cm, size=bootstrap, method="eigh")
-    t_err = float(np.std(_bootstrap_trace_distances(draws), ddof=1))
+    formula_moments = [pi2_oracle, stat_oracle["pi3"], stat_oracle["pi4"]]
+    moment_rows = np.vstack([[pi2, pi3, pi4], draws, formula_moments])
+    moment_rows[:-1, 0] = np.where(moment_rows[:-1, 0] < 0.0, 0.0, moment_rows[:-1, 0])
+    t = 0.5 * np.abs(characteristic_roots(*moment_rows.T).real).sum(axis=-1)
+    t_err = float(np.std(t[1:-1], ddof=1))
 
     ds = distance_set(rho1, rho2)
-    moments_formula = (
-        stat_oracle["o11"] + stat_oracle["o22"] - 2.0 * stat_oracle["o12"],
-        stat_oracle["pi3"],
-        stat_oracle["pi4"],
-    )
     measures = (
         MeasureRow("subfidelity", ds.subfidelity, ds.subfidelity, float(e_est), e_err),
         MeasureRow("superfidelity", ds.superfidelity, ds.superfidelity, float(g_est), g_err),
         MeasureRow(
             "hilbert-schmidt",
             ds.hilbert_schmidt,
-            float(np.sqrt(max(moments_formula[0], 0.0))),
+            float(np.sqrt(max(pi2_oracle, 0.0))),
             float(h_est),
             h_err,
         ),
-        MeasureRow(
-            "trace-distance",
-            ds.trace_distance,
-            _lenient_trace_distance(*moments_formula),
-            float(t_est),
-            t_err,
-        ),
+        MeasureRow("trace-distance", ds.trace_distance, float(t[-1]), float(t[0]), t_err),
     )
     return EstimationReport(
         seed=seed,

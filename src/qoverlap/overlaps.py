@@ -260,20 +260,21 @@ def moments(rho1: np.ndarray, rho2: np.ndarray) -> MomentSet:
     return m
 
 
-def _quartic_coefficients(pi2, pi3, pi4) -> tuple:
-    """Coefficients, highest power first, of ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det``
-    with ``det = (Pi2^2/2 - Pi4)/4``; elementwise on arrays of moments."""
-    det = 0.25 * (0.5 * pi2 * pi2 - pi4)
-    return 1.0, 0.0, -0.5 * pi2, -pi3 / 3.0, det
+def characteristic_roots(pi2, pi3, pi4) -> np.ndarray:
+    """Roots of ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det``, ``det = (Pi2^2/2 - Pi4)/4``.
 
-
-def characteristic_roots(pi2: float, pi3: float, pi4: float) -> np.ndarray:
-    """Roots of the quartic of :func:`_quartic_coefficients`.
-
-    For the moments of a traceless Hermitian 4x4 difference these are
-    its eigenvalues, up to the root finder's noise.
+    Elementwise on arrays of moments: one eigensolve of the ``(..., 4, 4)``
+    companion matrices, built as numpy's ``roots`` builds them, gives
+    ``(..., 4)`` roots.  For the moments of a traceless Hermitian 4x4
+    difference these are its eigenvalues, up to the solver's noise.
     """
-    return np.roots(_quartic_coefficients(pi2, pi3, pi4))
+    pi2, pi3, pi4 = np.broadcast_arrays(pi2, pi3, pi4)
+    companion = np.zeros(pi2.shape + (4, 4))
+    companion[..., 1:, :3] = np.eye(3)
+    companion[..., 0, 1] = pi2 / 2.0
+    companion[..., 0, 2] = pi3 / 3.0
+    companion[..., 0, 3] = -0.25 * (0.5 * pi2 * pi2 - pi4)
+    return np.linalg.eigvals(companion)
 
 
 def trace_distance_via_moments(m: MomentSet) -> float:
@@ -290,7 +291,7 @@ def trace_distance_via_moments(m: MomentSet) -> float:
     raise instead of being silently flattened.
     """
     roots = characteristic_roots(m.pi2, m.pi3, m.pi4)
-    worst_imag = float(np.abs(roots.imag).max()) if roots.size else 0.0
+    worst_imag = float(np.abs(roots.imag).max())
     if worst_imag > ROOT_IMAG_TOL:
         raise ValueError(f"ill-conditioned moments: complex eigenvalue residue {worst_imag:.3e}")
     lam = roots.real

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The derivation battery (about 2 s on a 2-core host with one BLAS
+The derivation battery (about 1.5 s on a 2-core host with one BLAS
 thread) is computed once per session and shared between the unit tests
 and the acceptance gate.
 """

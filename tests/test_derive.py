@@ -175,7 +175,7 @@ class TestStandaloneFits:
         assert fit.residual < derive.HOLDOUT_TOL  # the float fit passed held-out validation
 
 
-def reference_prune(A, y, support, basis=None, prefer=None, factored=False):
+def reference_prune(A, y, support, factored=False):
     """The restart scan: one removal per round, every candidate retried.
 
     Each trial is a least-squares solve on all rows of A or, with
@@ -195,15 +195,12 @@ def reference_prune(A, y, support, basis=None, prefer=None, factored=False):
             coef, *_ = np.linalg.lstsq(A[:, cols], y, rcond=None)
         return coef, float(np.abs(A[:, cols] @ coef - y).max())
 
-    def outside(col):
-        return 0 if prefer is None else len(set(basis.monomials[col]) - prefer)
-
     changed = True
     while changed:
         changed = False
         everything = list(range(len(support)))
         weight = np.abs(solve(everything)[0])
-        order = sorted(everything, key=lambda p: (-outside(support[p]), weight[p], p))
+        order = sorted(everything, key=lambda p: (weight[p], p))
         for pos in order:
             keep = everything[:pos] + everything[pos + 1 :]
             if keep and solve(keep)[1] < FIT_TOL:
@@ -281,39 +278,33 @@ class TestCompressedSolves:
     """The fast derivation paths against plain references written here."""
 
     @pytest.mark.parametrize(
-        "copies, target, extra, prefer_target",
+        "copies, target, extra",
         [
-            (2, "pi2", range(60), None),
-            (4, "w1112", (), None),
-            (4, "w2222", (), None),
-            (4, "w2222", (), "pi2"),
+            # Explicit ids keep each case's name in recorded test results unchanged.
+            pytest.param(2, "pi2", range(60), id="2-pi2-extra0-None"),
+            pytest.param(4, "w1112", (), id="4-w1112-extra1-None"),
+            pytest.param(4, "w2222", (), id="4-w2222-extra2-None"),
         ],
     )
-    def test_prune_matches_full_system_prune(self, copies, target, extra, prefer_target):
+    def test_prune_matches_full_system_prune(self, copies, target, extra):
         basis, A, rhos1, rhos2 = design(copies)
         y = np.array([TARGETS[target](a, b) for a, b in zip(rhos1, rhos2)])
         support = sorted(set(_symbolic_support(target, basis)) | set(extra))
-        prefer = None
-        if prefer_target:
-            two = build_basis(2)
-            classes = two.classes(_symbolic_support(prefer_target, two))
-            prefer = frozenset(basis.index_of_graph(two.graphs[i]) for i in classes)
-        got = _prune(A, y, support, basis, prefer)
-        assert got == reference_prune(A, y, support, basis, prefer)
-        assert got == reference_prune(A, y, support, basis, prefer, factored=True)
+        got, _, seed_res = _prune(A, y, support)
+        assert got == reference_prune(A, y, support)
+        assert got == reference_prune(A, y, support, factored=True)
         assert len(got) < len(support)
-        if prefer:  # the preferred classes steer the result away from the plain prune
-            assert sorted(got) != sorted(_prune(A, y, support))
+        assert seed_res < FIT_TOL
 
     @pytest.mark.parametrize("seed", [3, 21])
     def test_every_prune_keeps_the_restart_scans_support(self, monkeypatch, seed):
         """Each prune of a derivation returns the restart scan's list, in order."""
         calls = []
 
-        def checked(A, y, support, basis=None, prefer=None):
-            got = _prune(A, y, support, basis, prefer)
-            ref = reference_prune(A, y, support, basis, prefer, factored=True)
-            calls.append((len(support), got, ref))
+        def checked(A, y, support):
+            got = _prune(A, y, support)
+            ref = reference_prune(A, y, support, factored=True)
+            calls.append((len(support), got[0], ref))
             return got
 
         _design_context.cache_clear()
@@ -323,29 +314,67 @@ class TestCompressedSolves:
         assert [got for _, got, _ in calls] == [ref for _, _, ref in calls]
         assert sum(len(got) for _, got, _ in calls) < sum(n for n, _, _ in calls)
 
-    def test_failed_noise_run_falls_back_to_single_removals(self):
-        """a2 and a3 carry weights below the noise bar but are needed.
+    def test_needed_tiny_weights_are_kept_and_the_duplicate_dropped(self):
+        """a2 and a3 carry weights far below a1's but are needed.
 
-        Dropping them together fails, so the round scans one column at a
-        time and still removes a1, which its multiple 2 a1 replaces.
+        No free direction moves them, so they are not tried; a1 goes,
+        since its multiple 2 a1 replaces it.
         """
         a1, a2, a3 = gaussian_columns(3)
         A, y = np.column_stack([a1, a2, a3, 2 * a1]), 1e4 * a1 + 1e-6 * (a2 + a3)
         assert reference_prune(A, y, range(4), factored=True) == [1, 2, 3]
-        assert _prune(A, y, list(range(4))) == [1, 2, 3]
+        assert _prune(A, y, list(range(4)))[0] == [1, 2, 3]
 
-    def test_failed_column_is_not_retried(self):
+    def test_column_no_free_direction_moves_is_kept(self):
         """a1 fails in round one; in round two no free direction is left to move it."""
         a1, a2 = gaussian_columns(2)
         A, y = np.column_stack([a1, a2, 2 * a2]), a1 + 10 * a2
-        assert _prune(A, y, [0, 1, 2]) == reference_prune(A, y, [0, 1, 2], factored=True) == [0, 2]
+        assert _prune(A, y, [0, 1, 2])[0] == reference_prune(A, y, [0, 1, 2], factored=True) == [0, 2]
+
+    @pytest.mark.parametrize("copies, target", [(2, "pi2"), (4, "w1122")])
+    def test_kept_coefficients_are_the_least_squares_fit(self, copies, target):
+        basis, A, rhos1, rhos2 = design(copies)
+        y = np.array([TARGETS[target](a, b) for a, b in zip(rhos1, rhos2)])
+        got, coef, _ = _prune(A, y, _symbolic_support(target, basis))
+        want, *_ = np.linalg.lstsq(A[:, got], y, rcond=None)
+        assert np.abs(coef - want).max() < 1e-10
+
+    def test_inexact_seed_drops_nothing_and_fails_the_fit(self, monkeypatch):
+        """A seed missing one needed column has no exact fit: it is kept whole and reported."""
+        basis, A, rhos1, rhos2 = design(2)
+        y = np.array([TARGETS["pi2"](a, b) for a, b in zip(rhos1, rhos2)])
+        seed = _symbolic_support("pi2", basis)[1:]
+        got, coef, seed_res = _prune(A, y, seed)
+        assert got == seed and len(coef) == len(seed)
+        assert seed_res >= FIT_TOL
+        monkeypatch.setattr(derive, "_symbolic_support", lambda target, basis: list(seed))
+        with pytest.raises(ResidualError, match=f"'pi2'.*seeded residual {seed_res:.3e}"):
+            fit_coefficients("pi2", basis, samples=600, seed=42)
+
+    def test_quartic_moment_prunes_only_its_class_avoiding_seed(self, monkeypatch):
+        """pi2, pi3 and pi4 make one prune each; pi4 seeds from _avoid_classes alone."""
+        prunes, expanded = [], []
+
+        def counted_prune(A, y, support):
+            prunes.append(len(support))
+            return _prune(A, y, support)
+
+        def counted_support(target, basis):
+            expanded.append(target)
+            return _symbolic_support(target, basis)
+
+        monkeypatch.setattr(derive, "_prune", counted_prune)
+        monkeypatch.setattr(derive, "_symbolic_support", counted_support)
+        derive_targets(["pi4"], seed=42)
+        assert len(prunes) == 3
+        assert expanded == ["pi2", "pi3"]
 
     def test_largest_prune_keeps_the_restart_scans_support(self):
         """The largest prune of a derivation: 196 columns down to the restart scan's 64."""
         basis, A, rhos1, rhos2 = design(4)
         y = np.array([TARGETS["w1122"](a, b) for a, b in zip(rhos1, rhos2)])
         support = _symbolic_support("w1122", basis)
-        got = _prune(A, y, support)
+        got = _prune(A, y, support)[0]
         assert (len(support), len(got)) == (196, 64)
         assert got == reference_prune(A, y, support, factored=True)
 
@@ -363,7 +392,7 @@ class TestCompressedSolves:
         support = _symbolic_support("w1122", basis)
         S = A[:, support]
         c0, N = _kernel_form(S, y)
-        pruned = np.isin(support, _prune(A, y, support))
+        pruned = np.isin(support, _prune(A, y, support)[0])
         rng = np.random.default_rng(seed)
         exact, dims = 0, set()
         for trial in range(10):

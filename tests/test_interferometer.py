@@ -13,13 +13,11 @@ from qoverlap.interferometer import (
     STAT_NAMES,
     PlanError,
     _OUTCOME_ETA,
-    _bootstrap_trace_distances,
     _canonical_key,
     _form_arrays,
     _graph_estimates,
     _group_patterns,
     _host_arrays,
-    _lenient_trace_distance,
     _pattern_contraction,
     _plan_members,
     _plan_patterns,
@@ -33,7 +31,7 @@ from qoverlap.interferometer import (
     pattern_distribution,
     plan_configurations,
 )
-from qoverlap.overlaps import moments
+from qoverlap.overlaps import characteristic_roots, moments
 
 
 @pytest.fixture(scope="module")
@@ -528,9 +526,24 @@ class TestStatValues:
             estimate_distances(bell, mixed, forms, shots=100, plan=partial)
 
 
-def reference_bootstrap(draws):
-    """One scalar quartic solve per draw."""
-    return np.array([_lenient_trace_distance(max(d[0], 0.0), d[1], d[2]) for d in draws])
+def per_row_roots(rows):
+    """np.roots of every row's quartic, one scalar solve each."""
+    return [
+        np.roots([1.0, 0.0, -0.5 * a, -b / 3.0, 0.25 * (0.5 * a * a - c)]) for a, b, c in rows
+    ]
+
+
+def assert_roots_match_per_row(rows):
+    """Bit-identical to np.roots where det != 0; T within 1e-15 where np.roots deflates."""
+    got = characteristic_roots(*rows.T)
+    assert got.shape == (len(rows), 4)
+    for row, roots, want in zip(rows, got, per_row_roots(rows)):
+        det = 0.25 * (0.5 * row[0] * row[0] - row[2])
+        if det != 0.0:
+            assert np.array_equal(roots, want), row
+        else:
+            t, t_want = (0.5 * np.abs(r.real).sum() for r in (roots, want))
+            assert abs(t - t_want) <= 1e-15, row
 
 
 def moment_draws(mean, cov, seed, n=200):
@@ -538,33 +551,36 @@ def moment_draws(mean, cov, seed, n=200):
 
 
 class TestBootstrap:
+    """One batched quartic solve for every trace distance, against np.roots row by row."""
+
     def test_ginibre_pair_equals_per_draw_loop(self):
         rng = np.random.default_rng(30)
         m = moments(random_state(4, seed=rng), random_state(4, seed=rng))
         A = rng.normal(size=(3, 3)) * 1e-3
-        draws = moment_draws([m.pi2, m.pi3, m.pi4], A @ A.T, 31)
-        assert np.array_equal(_bootstrap_trace_distances(draws), reference_bootstrap(draws))
+        assert_roots_match_per_row(moment_draws([m.pi2, m.pi3, m.pi4], A @ A.T, 31))
 
     def test_equal_pair_clips_negative_pi2(self):
+        """Draws as the estimator solves them, pi2 clipped at 0."""
         rho = random_state(4, seed=32)
         m = moments(rho, rho)
         draws = moment_draws([m.pi2, m.pi3, m.pi4], np.diag([1e-6, 1e-9, 1e-10]), 33)
         assert (draws[:, 0] < 0).sum() > 50
-        assert np.array_equal(_bootstrap_trace_distances(draws), reference_bootstrap(draws))
+        draws[:, 0] = np.where(draws[:, 0] < 0.0, 0.0, draws[:, 0])
+        assert_roots_match_per_row(draws)
 
     def test_rank_deficient_covariance(self):
         rng = np.random.default_rng(34)
         m = moments(random_state(4, seed=rng), random_state(4, seed=rng))
         v = np.array([1.0, -0.5, 0.25]) * 1e-3
-        draws = moment_draws([m.pi2, m.pi3, m.pi4], np.outer(v, v), 35)
-        assert np.array_equal(_bootstrap_trace_distances(draws), reference_bootstrap(draws))
+        assert_roots_match_per_row(moment_draws([m.pi2, m.pi3, m.pi4], np.outer(v, v), 35))
 
     def test_zero_constant_coefficient_keeps_scalar_roots(self):
-        """Draws with det == 0 are deflated by np.roots, exactly as before."""
-        draws = np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 2.0], [0.5, -0.1, 0.1]])
-        t = _bootstrap_trace_distances(draws)
-        assert np.array_equal(t, reference_bootstrap(draws))
+        """Where det == 0 np.roots deflates; T keeps its value within 1e-15."""
+        rows = np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 2.0], [0.5, -0.1, 0.125], [2.0, 0.0, 2.0]])
+        assert_roots_match_per_row(rows)
+        t = 0.5 * np.abs(characteristic_roots(*rows.T).real).sum(axis=-1)
         assert t[0] == 0.0
+        assert t[3] == pytest.approx(1.0, abs=1e-15)  # eigenvalues 1, -1, 0, 0
 
     def test_one_root_solve_whatever_the_draw_count(self, forms, plan, bell, mixed, monkeypatch):
         calls = []
@@ -583,7 +599,8 @@ class TestBootstrap:
             calls.clear()
             estimate_distances(bell, mixed, forms, shots=1000, seed=36, plan=plan, bootstrap=bootstrap)
             per_estimate.append(len(calls))
-        assert per_estimate[0] == per_estimate[1] > 0
+        assert per_estimate == [1, 1]
+        assert calls == ["eigvals"]
 
 
 class TestPlanning:

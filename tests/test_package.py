@@ -53,17 +53,29 @@ def test_cli_import_builds_no_cache():
     assert not any(sizes.values()), sizes
 
 
-def test_einsum_path_only_in_the_contraction_engine():
-    """``np.einsum_path`` appears in the package only inside ``graphs._contraction_steps``."""
+def _places(text: str) -> set[tuple[str, str | None]]:
+    """(file, innermost enclosing function or None) of every package line containing ``text``."""
     places = set()
     for path in sorted(Path(qoverlap.__file__).resolve().parent.rglob("*.py")):
         source = path.read_text()
         defs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for lineno, line in enumerate(source.splitlines(), 1):
-            if "einsum_path" in line:
+            if text in line:
                 inner = [d.name for d in defs if d.lineno <= lineno <= d.end_lineno]  # outermost first
                 places.add((path.name, inner[-1] if inner else None))
-    assert places == {("graphs.py", "_contraction_steps")}
+    return places
+
+
+def test_einsum_path_only_in_the_contraction_engine():
+    """``np.einsum_path`` appears in the package only inside ``graphs._contraction_steps``."""
+    assert _places("einsum_path") == {("graphs.py", "_contraction_steps")}
+
+
+def test_one_quartic_solver_and_one_least_squares_solve():
+    """Quartics go through ``overlaps.characteristic_roots``, never ``np.roots``; the
+    only ``lstsq`` is the trace-kernel solve of ``derive._matching_kernel``."""
+    assert _places("np.roots") == set()
+    assert _places("lstsq") == {("derive.py", "_matching_kernel")}
 
 
 def test_no_module_level_cache_dict():
