@@ -8,7 +8,7 @@ copy exchange, and evaluates their probabilities — fast (vectorized
 correlation contractions) and exactly (rational arithmetic), plus the
 combinatorial counts behind the class bookkeeping.  Its :func:`contract`
 is the package's one contraction engine: every planned einsum, here and
-in the overlap and interferometer modules, runs through it.
+in the interferometer module's patterns, runs through it.
 """
 from __future__ import annotations
 

@@ -1,12 +1,11 @@
 """Correlation-matrix overlap algebra.
 
 Everything a singlet-projection experiment can reach lives here:
-first/second-order and mixed-word overlaps, each one word contraction
-of correlation matrices against state-independent Pauli chain kernels
-(through :func:`~qoverlap.graphs.contract`, the package's one
-contraction engine), moments of the difference
-matrix, and the trace distance recovered from those moments via the
-quartic characteristic polynomial.  The module also carries the
+first/second-order and mixed-word overlaps, all from star products of
+correlation matrices (the correlation matrix of a product ``rho_a rho_b``
+by the Pauli product rule) in one batched product per pair, moments of
+the difference matrix, and the trace distance recovered from those
+moments via the quartic characteristic polynomial.  The module also carries the
 permutation-operator identities (shift operator, swap expansion,
 overlap operator, singlet product rule) as executable checks; each of
 them was used to pin down sign and normalization conventions against
@@ -20,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation, trace_tensor
-from .graphs import contract
 
 __all__ = [
     "P_MINUS",
@@ -72,38 +70,52 @@ def factor_tensor() -> np.ndarray:
     return trace_tensor(3) / 2.0
 
 
-# Chain kernels: Tr(sigma_a sigma_b sigma_c) = 2 K3[a,b,c] and
-# Tr(sigma_a sigma_b sigma_c sigma_d) = 2 K4[a,b,c,d].
-_K3 = factor_tensor()
-_K4 = trace_tensor(4) / 2.0
-_K3.setflags(write=False)
-_K4.setflags(write=False)
+# Star products: by the product rule ``sigma_a sigma_b = sum_u f[u, a, b] sigma_u``
+# the correlation matrix of rho_a rho_b is Q_ab = (1/4) F (R_a x R_b) F^T with
+# F = f.reshape(4, 16), and Tr(rho_X rho_Y) = (1/4) sum Q_X o Q_Y for any two such
+# matrices.  Q_ab is taken as (1/4) [F (R_a x 1)] [(1 x R_b) F^T], the factors being
+# R_a and R_b times f rearranged: [(u, c), a] -> f[u, a, c] and [d, (b, v)] -> f[v, b, d].
+_F_LEFT = factor_tensor().transpose(0, 2, 1).reshape(16, 4)
+_F_RIGHT = factor_tensor().transpose(2, 1, 0).reshape(4, 16)
+_F_LEFT.setflags(write=False)
+_F_RIGHT.setflags(write=False)
+
+# The halves a word splits into: a one-letter half is its R, a two-letter half its Q.
+_HALVES = ("1", "2", "11", "12", "21", "22")
 
 
-# Per word length: einsum subscripts, one chain kernel per qubit slot,
-# normalization.
-_WORD_KERNELS = {
-    2: ("mn,mn->", (), 4.0),
-    3: ("mn,kl,xy,mkx,nly->", (_K3, _K3), 16.0),
-    4: ("mn,kl,xy,rs,mkxr,nlys->", (_K4, _K4), 64.0),
-}
+@lru_cache(maxsize=None)
+def _word_halves(words: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into ``_HALVES`` of each word's first ``len // 2`` letters and of the rest."""
+    halves = []
+    for word in words:
+        _check_word(word)
+        cut = len(word) // 2
+        halves.append((_HALVES.index(word[:cut]), _HALVES.index(word[cut:])))
+    return tuple(np.array(half) for half in zip(*halves))
 
 
-def _contract_word(word: str, R: dict[str, np.ndarray]) -> float:
-    """``Tr(rho_w1 rho_w2 ...)`` from the correlation matrices ``R["1"], R["2"]``.
+def _word_values(words: tuple[str, ...], rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """``Tr(rho_w1 rho_w2 ...)`` of each word from the correlation matrices of the states.
 
-    The Levi-Civita terms of the kernels cancel in the total; a residual
-    imaginary part above 1e-9 signals a broken kernel and raises.
+    One stacked star product gives Q11, Q12, Q21 and Q22, and one real einsum sums
+    each word's gathered halves: a two-letter word is bitwise the ``"mn,mn->"``
+    einsum of its matrices.  An imaginary residue above 1e-9 raises.
     """
-    subscripts, kernels, norm = _WORD_KERNELS[len(word)]
-    matrices = [R[ch] for ch in word]
-    if kernels:
-        total = contract(subscripts, *matrices, *kernels)
-    else:  # unplanned C einsum: a planned path is one matmul, which moves O12's last bit
-        total = np.einsum(subscripts, *matrices)
-    if abs(total.imag / norm) > 1e-9:
-        raise ValueError(f"word {word} overlap has imaginary residue {total.imag / norm:.3e}")
-    return float(total.real / norm)
+    i, j = _word_halves(words)
+    R = np.stack([_as_correlation(rho1), _as_correlation(rho2)])
+    # Each factor has one nonzero term per entry, so it is exact.  Their product sums in
+    # long double: on nearly orthogonal pure pairs the E radicand is that rounding alone.
+    left = (_F_LEFT @ R).reshape(2, 1, 4, 16).astype(np.clongdouble)
+    Q = (left @ (R @ _F_RIGHT).reshape(1, 2, 16, 4)).reshape(4, 4, 4) / 4.0
+    halves = np.zeros((6, 2, 4, 4))  # R1, R2, Q11, Q12, Q21, Q22; real and imaginary parts
+    halves[:2, 0], halves[2:, 0], halves[2:, 1] = R, Q.real, Q.imag
+    p = np.einsum("wamn,wbmn->wab", halves[i], halves[j])
+    imag = (p[:, 0, 1] + p[:, 1, 0]) / 4.0
+    worst = int(np.abs(imag).argmax())
+    if abs(imag[worst]) > 1e-9:
+        raise ValueError(f"word {words[worst]} overlap has imaginary residue {imag[worst]:.3e}")
+    return (p[:, 0, 0] - p[:, 1, 1]) / 4.0
 
 
 def _as_correlation(state: np.ndarray) -> np.ndarray:
@@ -133,8 +145,8 @@ def overlap_first(R1: np.ndarray, R2: np.ndarray) -> float:
 def overlap_second(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Second-order overlap ``Tr[(rho1 rho2)^2]`` from correlation matrices alone.
 
-    The word ``1212``: ``R1 R2 R1 R2`` contracted against one ``K4``
-    chain kernel per qubit slot.
+    The word ``1212``: ``(1/4) sum Q12 o Q12`` with the star product
+    ``Q12`` of the two correlation matrices.
     """
     return word_overlap_bloch("1212", rho1, rho2)
 
@@ -150,13 +162,12 @@ def word_overlap_matrix(word: str, rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def word_overlap_bloch(word: str, R1: np.ndarray, R2: np.ndarray) -> float:
-    """The same word overlap from correlation matrices via chain kernels.
+    """The same word overlap from correlation matrices via star products.
 
-    Degree 2: ``(1/4) sum R R``; degree 3: ``(1/16) sum RRR K3 K3``;
-    degree 4: ``2**-6 sum RRRR K4 K4`` — one kernel per qubit slot.
+    Degree 2 is ``(1/4) sum R o R``, degree 3 ``(1/4) sum R o Q`` and degree 4
+    ``(1/4) sum Q o Q``, bitwise the value :func:`overlap_set` gives the word.
     """
-    _check_word(word)
-    return _contract_word(word, {"1": _as_correlation(R1), "2": _as_correlation(R2)})
+    return float(_word_values((word,), R1, R2)[0])
 
 
 def _check_word(word: str) -> None:
@@ -181,24 +192,13 @@ class OverlapSet:
 
 # Words feeding the third and fourth moments, beyond the first-order
 # overlaps and Tr[(rho1 rho2)^2].
-_MIXED_WORDS = (
-    "111",
-    "222",
-    "112",
-    "122",
-    "1111",
-    "2222",
-    "1112",
-    "1222",
-    "1122",
-    "1212",
-)
+_MIXED_WORDS = ("111", "222", "112", "122", "1111", "2222", "1112", "1222", "1122", "1212")
 
 
 def overlap_set(rho1: np.ndarray, rho2: np.ndarray) -> OverlapSet:
-    """Assemble all overlaps of a pair from its correlation matrices."""
-    R = {"1": _as_correlation(rho1), "2": _as_correlation(rho2)}
-    w = {word: _contract_word(word, R) for word in ("11", "22", "12") + _MIXED_WORDS}
+    """Assemble all overlaps of a pair from the star products of its correlation matrices."""
+    words = ("11", "22", "12") + _MIXED_WORDS
+    w = dict(zip(words, _word_values(words, rho1, rho2).tolist()))
     return OverlapSet(O11=w.pop("11"), O22=w.pop("22"), O12=w.pop("12"), O2_12=w["1212"], mixed=w)
 
 

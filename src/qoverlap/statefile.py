@@ -32,7 +32,7 @@ from .core import from_correlation, to_correlation, validate_density
 __all__ = ["load_state", "save_state"]
 
 
-def _matrix_field(doc: dict, path: str) -> np.ndarray:
+def _matrix_field(doc: dict, path: str, label: str) -> np.ndarray:
     block = doc["matrix"]
     if not isinstance(block, dict) or set(block) != {"re", "im"}:
         raise ValueError(f"{path}: field 'matrix' must be an object with 're' and 'im'")
@@ -46,7 +46,10 @@ def _matrix_field(doc: dict, path: str) -> np.ndarray:
             raise ValueError(
                 f"{path}: field 'matrix.{name}' must be 4x4 row-major, got shape {part.shape}"
             )
-    return re + 1j * im
+    try:
+        return validate_density(re + 1j * im, name=label or "state")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _correlation_field(doc: dict, path: str) -> np.ndarray:
@@ -88,11 +91,8 @@ def load_state(path: str | os.PathLike) -> tuple[str, np.ndarray]:
     label = doc.get("label", path.stem)
     if not isinstance(label, str):
         raise ValueError(f"{path}: field 'label' must be a string")
-    rho = _matrix_field(doc, str(path)) if has_matrix else _correlation_field(doc, str(path))
-    try:
-        rho = validate_density(rho, name=label or "state")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    # Each field reader validates the state it builds, so it is validated once.
+    rho = _matrix_field(doc, str(path), label) if has_matrix else _correlation_field(doc, str(path))
     return label, rho
 
 

@@ -1,12 +1,13 @@
 """The correlation-matrix route must reproduce the dense-matrix oracle."""
+from itertools import product
+
 import numpy as np
 import pytest
 
-from qoverlap.core import mode_swap_unitary, random_state, random_unitary, to_correlation
+from qoverlap.core import from_correlation, mode_swap_unitary, random_state, random_unitary, to_correlation
 from qoverlap.graphs import contract
 from qoverlap.oracle import trace_distance
 from qoverlap.overlaps import (
-    _WORD_KERNELS,
     MomentSet,
     distances_from_overlaps,
     moments,
@@ -105,19 +106,21 @@ def engine_pairs(family):
 
 
 class TestWordEngine:
-    """Every overlap word against numpy's own einsum, bit for bit."""
+    """Every overlap word from the star products, against direct matrix products."""
 
     @pytest.mark.parametrize("family", ["ginibre", "pure", "rank-2", "basis", "bell"])
-    def test_long_words_equal_greedy_einsum(self, family):
+    def test_every_short_word_on_one_engine(self, family):
+        """All 28 words of length 2-4 match the matrix route; the set's 13 are one float per word."""
+        words = ["".join(w) for n in (2, 3, 4) for w in product("12", repeat=n)]
+        assert len(words) == 28
         for R1, R2 in engine_pairs(family):
-            R = {"1": R1, "2": R2}
-            mixed = overlap_set(R1, R2).mixed
-            for word, value in mixed.items():
-                spec, kernels, norm = _WORD_KERNELS[len(word)]
-                operands = [R[ch] for ch in word] + list(kernels)
-                want = np.einsum(spec, *operands, optimize="greedy")
-                assert np.array_equal(contract(spec, *operands), want), (family, word)
-                assert value == float(want.real / norm), (family, word)
+            rho1, rho2 = from_correlation(R1), from_correlation(R2)
+            o = overlap_set(R1, R2)
+            in_set = {"11": o.O11, "22": o.O22, "12": o.O12, **o.mixed}
+            for word in words:
+                value = word_overlap_bloch(word, R1, R2)
+                assert abs(value - word_overlap_matrix(word, rho1, rho2)) <= 1e-12, (family, word)
+                assert word not in in_set or value == in_set[word], (family, word)
 
     def test_two_letter_words_stay_on_c_einsum(self):
         """A planned path makes them one matmul, which sums in another order."""

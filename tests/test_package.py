@@ -78,6 +78,12 @@ def test_one_quartic_solver_and_one_least_squares_solve():
     assert _places("lstsq") == {("derive.py", "_matching_kernel")}
 
 
+def test_overlap_route_makes_no_contraction():
+    """Overlap words are star products of correlation matrices: ``overlaps.py`` calls no
+    ``contract(``, so the contraction engine serves graphs and patterns only."""
+    assert {place for place in _places("contract(") if place[0] == "overlaps.py"} == set()
+
+
 def test_no_module_level_cache_dict():
     """Caches are ``functools.lru_cache`` functions: no module binds a dict it fills at run time."""
     found = []

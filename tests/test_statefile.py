@@ -3,7 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoverlap.core import random_state
+import qoverlap.core
+import qoverlap.statefile
+from qoverlap.core import random_state, validate_density
 from qoverlap.statefile import load_state, save_state
 
 STATES_DIR = Path(__file__).resolve().parent.parent / "states"
@@ -32,6 +34,22 @@ class TestRoundTrips:
         label, back = load_state(p)
         assert label == "roundtrip"
         assert np.abs(back - rho).max() < 1e-10
+
+    @pytest.mark.parametrize("representation", ["matrix", "correlation"])
+    def test_one_validation_per_load(self, tmp_path, monkeypatch, representation):
+        """``from_correlation`` validates what it builds, so a correlation file is not validated again."""
+        p = tmp_path / "s.json"
+        save_state(p, random_state(4, seed=3), "once", representation=representation)
+        names = []
+
+        def counted(rho, *, name="rho"):
+            names.append(name)
+            return validate_density(rho, name=name)
+
+        monkeypatch.setattr(qoverlap.core, "validate_density", counted)
+        monkeypatch.setattr(qoverlap.statefile, "validate_density", counted)
+        load_state(p)
+        assert names == ["once" if representation == "matrix" else "from_correlation(R)"]
 
     def test_label_defaults_to_stem(self, tmp_state):
         path = tmp_state(
