@@ -24,6 +24,7 @@ import numpy as np
 from .core import ModeLayout, PAULI2, ginibre_states, to_correlation, trace_tensor
 from .graphs import (
     MeasurementGraph,
+    Numerators,
     connected_components,
     enumerate_classes,
     enumerate_matchings,
@@ -195,10 +196,16 @@ class MonomialBasis:
         """(n_graphs, S) matrix of every class probability on the batch."""
         return np.array([probability_batch(g, R1s, R2s) for g in self.graphs])
 
-    def design_matrix(self, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
-        """(S, n_monomials) matrix of monomial values on the batch."""
-        P = self.graph_matrix(R1s, R2s)
-        return np.array([self.column(k, P) for k in range(self.n_monomials)]).T
+    def design_matrix(self, P: np.ndarray) -> np.ndarray:
+        """(S, n_monomials) matrix of monomial values from the (n_graphs, S) class probabilities.
+
+        Filled one monomial row at a time and returned transposed, so the
+        columns are contiguous.
+        """
+        A = np.empty((self.n_monomials, P.shape[1]))
+        for k in range(self.n_monomials):
+            A[k] = self.column(k, P)
+        return A.T
 
     def column(self, k: int, P: np.ndarray) -> np.ndarray:
         """Values of monomial ``k`` from the (n_graphs, S) class probabilities."""
@@ -373,51 +380,71 @@ def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndar
 
 
 @lru_cache(maxsize=None)
+def _submatchings(k: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The edge subsets of every trace-kernel matching of a length-``k`` word, found once per length.
+
+    Kernel slot j lifts to the a mode of copy j (j < k) or the b mode of
+    copy j-k (j >= k); each matching of :func:`_matching_kernel` then is
+    an edge set on the word's k copies.  The per-edge identity converts
+    the matching's unweighted Bloch sum into graph probabilities by
+    inclusion-exclusion over its edge subsets: r of its n edges weigh
+    4^(n-k) (-1)^r 2^(r-n) times the matching's coefficient.  Returns the
+    distinct subsets (sub-matchings), each split into its connected copy
+    components, one edge tuple each, and per term, in matching order and
+    then by subset, its matching, its sub-matching and its factor.  None
+    of this depends on the word's letters or the kernel's coefficients.
+    """
+    mode = [2 * u for u in range(k)] + [2 * u + 1 for u in range(k)]
+    weigh = {
+        (n, r): 4.0 ** (n - k) * (-1.0) ** r * 2.0 ** (r - n) for n in range(k + 1) for r in range(n + 1)
+    }
+    index: dict[tuple[tuple[int, int], ...], int] = {}
+    matching, sub, factor = [], [], []
+    for a, M in enumerate(_matching_kernel(k)[0]):
+        edges = [tuple(sorted((mode[u], mode[v]))) for u, v in M]
+        n = len(edges)
+        for r in range(n + 1):
+            for chosen in combinations(edges, r):
+                matching.append(a)
+                sub.append(index.setdefault(tuple(sorted(chosen)), len(index)))
+                factor.append(weigh[n, r])
+    layout = ModeLayout((1,) * k)
+    parts = tuple(
+        tuple(tuple(e for e in s if e[0] // 2 in comp) for comp in connected_components(layout, s))
+        for s in index
+    )
+    return parts, np.array(matching), np.array(sub), np.array(factor)
+
+
+@lru_cache(maxsize=None)
 def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
     """Graph-probability monomials spanning Tr[rho_{s1} ... rho_{sk}].
 
-    Kernel slot j lifts to the a mode of copy j (j < k) or the b mode of
-    copy j-k (j >= k); each matching then is an edge set on the copies of
-    the word.  The per-edge identity converts the unweighted Bloch sums
-    into graph probabilities by inclusion-exclusion over edge subsets,
-    and each subset factorizes over its connected copy components.
-    Returned keys are tuples of canonical component keys (empty tuple =
-    the constant term), with every accumulated value, rounding noise
-    included; :func:`_symbolic_support` keeps the monomials whose total
-    over a target's words is not noise.
+    The inclusion-exclusion terms of the trace kernel's matchings
+    (:func:`_submatchings`) are shared by every word of length k; the
+    word only names the state of each copy.  Each sub-matching of a
+    matching with a coefficient of at least 1e-9 maps once to its
+    monomial, the sorted tuple of its components' canonical keys (empty
+    tuple = the constant term), and the terms add up per monomial in
+    matching order, rounding noise included; :func:`_symbolic_support`
+    keeps the monomials whose total over a target's words is not noise.
     """
     k = len(word)
-    matchings, c = _matching_kernel(k)
+    c = _matching_kernel(k)[1]
+    parts, matching, sub, factor = _submatchings(k)
+    kept = np.abs(c[matching]) >= 1e-9
     layout = ModeLayout(tuple(word))
-
-    @lru_cache(maxsize=None)
-    def component_key(part: frozenset[tuple[int, int]]) -> tuple:
-        return MeasurementGraph(layout, part).canonical().key()
-
-    @lru_cache(maxsize=None)
-    def monomial(subset: frozenset[tuple[int, int]]) -> tuple[tuple, ...]:
-        parts = (
-            frozenset(e for e in subset if e[0] // 2 in comp)
-            for comp in connected_components(layout, subset)
-        )
-        return tuple(sorted(component_key(part) for part in parts))
-
-    acc: dict[tuple[tuple, ...], float] = {}
-    for a, M in enumerate(matchings):
-        if abs(c[a]) < 1e-9:
-            continue
-        edges = []
-        for u, v in M:
-            mu = 2 * u if u < k else 2 * (u - k) + 1
-            mv = 2 * v if v < k else 2 * (v - k) + 1
-            edges.append((mu, mv))
-        n_edges = len(edges)
-        prefactor = c[a] * 4.0 ** (n_edges - k)
-        for r in range(n_edges + 1):
-            for chosen in combinations(edges, r):
-                mono = monomial(frozenset(chosen))
-                acc[mono] = acc.get(mono, 0.0) + prefactor * (-1.0) ** r * 2.0 ** (r - n_edges)
-    return acc
+    keys: dict[tuple, tuple] = {}
+    monomials: dict[tuple[tuple, ...], int] = {}
+    mono_of_sub = np.zeros(len(parts), dtype=int)
+    for s in np.flatnonzero(np.bincount(sub[kept], minlength=len(parts))):
+        for part in parts[s]:
+            if part not in keys:
+                keys[part] = MeasurementGraph(layout, part).canonical().key()
+        mono = tuple(sorted(keys[part] for part in parts[s]))
+        mono_of_sub[s] = monomials.setdefault(mono, len(monomials))
+    totals = np.bincount(mono_of_sub[sub[kept]], weights=c[matching[kept]] * factor[kept])
+    return dict(zip(monomials, totals.tolist()))
 
 
 def _symbolic_support(target: str, basis: MonomialBasis) -> list[int] | None:
@@ -503,6 +530,43 @@ def _rat_correlation(rho: _Rational) -> list[list[Fraction]]:
     return [[Fraction(int(v), rho.den) for v in row] for row in N]
 
 
+@lru_cache(maxsize=None)
+def _certification_pairs(seed: int) -> tuple[tuple[_Rational, _Rational, Numerators, Numerators], ...]:
+    """The ``EXACT_CHECK_PAIRS`` rational state pairs every fit at ``seed`` is certified on.
+
+    Drawn from ``default_rng(seed + 1)``, first state then second, with
+    the integer numerators of their correlation matrices; once per seed
+    and process.
+    """
+    crng = np.random.default_rng(seed + 1)
+    pairs = []
+    for _ in range(EXACT_CHECK_PAIRS):
+        q1, q2 = _rational_state(crng), _rational_state(crng)
+        pairs.append((q1, q2, *(exact_numerators(_rat_correlation(q)) for q in (q1, q2))))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _exact_probabilities(graph: MeasurementGraph, seed: int) -> tuple[Fraction, ...]:
+    """Exact probabilities of ``graph`` on the certification pairs of ``seed``, once per graph and seed."""
+    return tuple(probability_exact(graph, N1, N2) for _, _, N1, N2 in _certification_pairs(seed))
+
+
+def _certified(oracle: Target, basis: MonomialBasis, entries: dict[int, Fraction], seed: int) -> bool:
+    """Whether the rational combination ``entries`` equals ``oracle`` on each certification pair of ``seed``.
+
+    Each pair's value is summed exactly from the shared class
+    probabilities (:func:`_exact_probabilities`) and compared with the
+    target's exact value on the pair; the first mismatch decides.
+    """
+    probs = {i: _exact_probabilities(basis.graphs[i], seed) for i in basis.classes(entries)}
+    return all(
+        sum(c * prod(probs[i][p] for i in basis.monomials[k]) for k, c in entries.items())
+        == oracle(q1, q2, EXACT)
+        for p, (q1, q2, _, _) in enumerate(_certification_pairs(seed))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
@@ -576,16 +640,22 @@ def _sample_ensemble(
 def _design_context(basis: MonomialBasis, samples: int, seed: int):
     """Fit and held-out ensembles, the design matrix and its rank, once per argument set.
 
+    ``default_rng(seed)`` draws the ``samples`` fit pairs, then the
+    ``HOLDOUT_PAIRS`` held-out pairs.  Both are contracted as one batch,
+    so each graph's contraction is planned once; the design matrix is
+    built from the fit pairs' class probabilities, and the held-out
+    block is copied out, so the joint matrix is freed.
     :func:`build_basis` returns one basis per copy count and process, so
     the fits on one basis share an entry and skip redrawing the ensembles
     and rebuilding the design matrix.
     """
     rng = np.random.default_rng(seed)
     R1s, R2s, rhos1, rhos2 = _sample_ensemble(rng, samples)
-    A = basis.design_matrix(R1s, R2s)
-    rank = int(np.linalg.matrix_rank(A, tol=1e-8))
     H1s, H2s, h1, h2 = _sample_ensemble(rng, HOLDOUT_PAIRS)
-    P_hold = basis.graph_matrix(H1s, H2s)
+    P = basis.graph_matrix(np.concatenate([R1s, H1s]), np.concatenate([R2s, H2s]))
+    A, P_hold = basis.design_matrix(P[:, :samples]), P[:, samples:].copy()
+    del P
+    rank = int(np.linalg.matrix_rank(A, tol=1e-8))
     return A, rhos1, rhos2, rank, P_hold, h1, h2
 
 
@@ -704,12 +774,17 @@ def fit_coefficients(
     are linearly dependent on the four-copy basis, so solutions are
     non-unique and flagged as such.
     Coefficients within 1e-7 of a third are snapped, and the snapped
-    identity is checked with exact rational arithmetic on
-    ``EXACT_CHECK_PAIRS`` random rational state pairs.  On a mismatch
-    the fit keeps its float minimum-norm coefficients and is flagged
-    neither rational nor certified.  Either way the fit must reproduce
-    the target on 500 held-out pairs to 1e-8, else
-    :class:`ResidualError`.
+    identity is checked with exact rational arithmetic on the
+    ``EXACT_CHECK_PAIRS`` random rational state pairs of ``seed``
+    (:func:`_certified`); the pairs and each class's exact probabilities
+    on them are computed once per seed and shared by every fit, while
+    the target's exact values are taken per fit.  On a mismatch the fit
+    keeps its float minimum-norm coefficients and is flagged neither
+    rational nor certified.  Either way the fit must reproduce the
+    target on 500 held-out pairs to 1e-8, else :class:`ResidualError`.
+    The design matrix, its rank and the held-out class probabilities
+    come from :func:`_design_context`, shared by every fit on one basis,
+    sample count and seed.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; known: {sorted(TARGETS)}")
@@ -753,18 +828,9 @@ def fit_coefficients(
     # Certify exactly on rational states; a mismatch keeps the float fit.
     exact_certified = False
     if all_rational and entries:
-        support_classes = sorted(basis.classes(entries))
-        crng = np.random.default_rng(seed + 1)
-        for _ in range(EXACT_CHECK_PAIRS):
-            q1, q2 = _rational_state(crng), _rational_state(crng)
-            QR1, QR2 = (exact_numerators(_rat_correlation(q)) for q in (q1, q2))
-            probs = {i: probability_exact(basis.graphs[i], QR1, QR2) for i in support_classes}
-            value = sum(c * prod(probs[i] for i in basis.monomials[k]) for k, c in entries.items())
-            if value != oracle(q1, q2, EXACT):
-                all_rational = False
-                entries = {k: float(c) for k, c in zip(support, coef) if abs(c) > 1e-10}
-                break
-        exact_certified = all_rational
+        exact_certified = all_rational = _certified(oracle, basis, entries, seed)
+        if not exact_certified:
+            entries = {k: float(c) for k, c in zip(support, coef) if abs(c) > 1e-10}
 
     # Held-out validation on fresh pairs (graph probabilities reused
     # across monomials through the precomputed class matrix).

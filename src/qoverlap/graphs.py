@@ -68,6 +68,17 @@ def _copy_exchanges(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
+@lru_cache(maxsize=None)
+def _exchange_minimum(
+    counts: tuple[int, int], edges: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """Least edge tuple among the images of ``edges`` under every mode map of :func:`_copy_exchanges`."""
+    return min(
+        tuple(sorted((r[i], r[j]) if r[i] < r[j] else (r[j], r[i]) for i, j in edges))
+        for r in _copy_exchanges(*counts)
+    )
+
+
 @dataclass(frozen=True)
 class MeasurementGraph:
     """A matching of singlet projections over a multi-copy layout."""
@@ -146,16 +157,14 @@ class MeasurementGraph:
     def canonical(self) -> "MeasurementGraph":
         """Lexicographically smallest relabeling under same-state copy exchange.
 
-        The minimum runs over plain edge tuples, one per mode map of
-        :func:`_copy_exchanges` on the minimal layout.
+        The graph moves to its minimal layout, where :func:`_exchange_minimum`
+        gives the least edge tuple, once per minimal layout and edges.
         """
         perm, layout = self._minimal_copies()
-        edges = [(2 * perm[i // 2] + i % 2, 2 * perm[j // 2] + j % 2) for i, j in self.edges]
-        best = min(
-            tuple(sorted((r[i], r[j]) if r[i] < r[j] else (r[j], r[i]) for i, j in edges))
-            for r in _copy_exchanges(*layout.counts())
+        edges = _normalize_edges(
+            (2 * perm[i // 2] + i % 2, 2 * perm[j // 2] + j % 2) for i, j in self.edges
         )
-        return MeasurementGraph._unchecked(layout, best)
+        return MeasurementGraph._unchecked(layout, _exchange_minimum(layout.counts(), edges))
 
     def role_swapped(self) -> "MeasurementGraph":
         """The same graph with the two states' roles exchanged."""
@@ -250,30 +259,47 @@ def is_connected_spanning(layout: ModeLayout, edges) -> bool:
     return len(comps) == 1 and len(comps[0]) == layout.n_copies
 
 
+def _connected_spanning(partner: np.ndarray) -> np.ndarray:
+    """Which matchings, one partner row each (:func:`matching_partners`), are connected and spanning.
+
+    Every mode starts with its copy number and takes the least label of
+    its partner and of its copy's other mode; after as many rounds as
+    there are copies, a matching is connected and spanning exactly when
+    it has an edge and every mode holds copy 0.
+    """
+    label = np.arange(partner.shape[1]) // 2 + np.zeros_like(partner)
+    for _ in range(partner.shape[1] // 2):
+        label = np.minimum(label, np.take_along_axis(label, partner, axis=1))
+        label = np.repeat(label.reshape(len(label), -1, 2).min(axis=2), 2, axis=1)
+    return (label == 0).all(axis=1) & (partner != np.arange(partner.shape[1])).any(axis=1)
+
+
 @lru_cache(maxsize=None)
 def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
     """Connected graph classes on every layout with at most ``max_copies`` copies.
 
-    Graphs are deduplicated by canonical form under copy exchange; no two
-    of the resulting classes share a probability functional (the tests
-    check this on random pairs).  Connected classes generate everything
-    else: a disconnected graph's probability is the product over its
-    components, and untouched copies are dropped.  Deterministic
-    ordering.  The enumeration runs once per ``max_copies`` and process;
-    later calls return the same tuple.
+    On each standard layout the matchings fall into orbits under the
+    copy exchanges (:func:`matching_orbits` with the mode maps of
+    :func:`_copy_exchanges`); a class is one orbit, so one member per
+    orbit that is connected and spanning (:func:`_connected_spanning`)
+    is taken to its canonical form.  No two of the resulting classes
+    share a probability functional (the tests check this on random
+    pairs).  Connected classes generate everything else: a disconnected
+    graph's probability is the product over its components, and
+    untouched copies are dropped.  Deterministic ordering.  The
+    enumeration runs once per ``max_copies`` and process; later calls
+    return the same tuple.
     """
-    classes: dict[tuple, MeasurementGraph] = {}
-    for n1 in range(max_copies + 1):
-        for n2 in range(max_copies + 1 - n1):
-            if n1 + n2 < 1:
-                continue
-            layout = ModeLayout.standard(n1, n2)
-            for edges in enumerate_matchings(list(range(layout.n_modes))):
-                if not edges or not is_connected_spanning(layout, edges):
-                    continue
-                g = MeasurementGraph(layout, edges).canonical()
-                classes.setdefault(g.key(), g)
-    return tuple(sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)))
+    classes = []
+    for n in range(1, max_copies + 1):
+        matchings = enumerate_matchings(list(range(2 * n)))
+        connected = _connected_spanning(matching_partners(matchings, 2 * n))
+        for n1 in range(n + 1):
+            layout = ModeLayout.standard(n1, n - n1)
+            _, members = matching_orbits(matchings, np.array(_copy_exchanges(n1, n - n1)))
+            for a in members[connected[members]]:
+                classes.append(MeasurementGraph(layout, matchings[a]).canonical())
+    return tuple(sorted(classes, key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)))
 
 
 # ---------------------------------------------------------------------------

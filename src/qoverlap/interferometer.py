@@ -291,9 +291,16 @@ def plan_configurations(graphs) -> ConfigurationPlan:
     if not req:
         raise ValueError("no graphs to plan for")
 
+    def hosts_copies(h: MeasurementGraph, g: MeasurementGraph) -> bool:
+        # Canonical graphs sit on their minimal layouts, so these are the counts find_embedding compares.
+        (h1, h2), (g1, g2) = h.counts(), g.counts()
+        return h1 >= g1 and h2 >= g2
+
     maximal, free = [], []
     for g in req:
-        if any(h.key() != g.key() and find_embedding(h, g) is not None for h in req):
+        if any(
+            h.key() != g.key() and hosts_copies(h, g) and find_embedding(h, g) is not None for h in req
+        ):
             free.append(g)
         else:
             maximal.append(g)
@@ -314,7 +321,7 @@ def plan_configurations(graphs) -> ConfigurationPlan:
         placed = False
         for ci, conf in enumerate(configurations):
             for mi, member in enumerate(conf.members):
-                emb = find_embedding(member, g)
+                emb = find_embedding(member, g) if hosts_copies(member, g) else None
                 if emb is not None:
                     hosts[g.key()] = (ci, mi, emb)
                     placed = True

@@ -1,19 +1,21 @@
 """Recovering the graph-probability representations and their counts."""
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qoverlap.derive as derive
-from qoverlap.core import PAULI2, random_state, to_correlation, trace_tensor
+from qoverlap.core import PAULI2, ModeLayout, random_state, to_correlation, trace_tensor
 from qoverlap.derive import (
     EXACT,
+    EXACT_CHECK_PAIRS,
     FIT_TOL,
     TARGETS,
     ResidualError,
+    _certified,
     _design_context,
     _exact_fit,
     _kernel_form,
@@ -29,6 +31,8 @@ from qoverlap.derive import (
     verify_table_claims,
 )
 from qoverlap.graphs import (
+    MeasurementGraph,
+    connected_components,
     enumerate_matchings,
     exact_numerators,
     matching_orbits,
@@ -493,6 +497,42 @@ def reference_kernel(k):
     return matchings, c
 
 
+def loop_word_monomials(word):
+    """The word expansion as a loop over the kernel's matchings and their edge subsets.
+
+    Every matching with a coefficient of at least 1e-9 lifts to edges on
+    the word's copies; each of its edge subsets adds its
+    inclusion-exclusion term to the monomial of its canonical components.
+    """
+    k = len(word)
+    matchings, c = _matching_kernel(k)
+    layout = ModeLayout(tuple(word))
+
+    def monomial(subset):
+        parts = (
+            frozenset(e for e in subset if e[0] // 2 in comp)
+            for comp in connected_components(layout, subset)
+        )
+        return tuple(sorted(MeasurementGraph(layout, part).canonical().key() for part in parts))
+
+    acc = {}
+    for a, M in enumerate(matchings):
+        if abs(c[a]) < 1e-9:
+            continue
+        edges = []
+        for u, v in M:
+            mu = 2 * u if u < k else 2 * (u - k) + 1
+            mv = 2 * v if v < k else 2 * (v - k) + 1
+            edges.append((mu, mv))
+        n_edges = len(edges)
+        prefactor = c[a] * 4.0 ** (n_edges - k)
+        for r in range(n_edges + 1):
+            for chosen in combinations(edges, r):
+                mono = monomial(frozenset(chosen))
+                acc[mono] = acc.get(mono, 0.0) + prefactor * (-1.0) ** r * 2.0 ** (r - n_edges)
+    return acc
+
+
 class TestTraceKernel:
     """The orbit solve of the trace kernel against the full solve."""
 
@@ -527,6 +567,19 @@ class TestTraceKernel:
         finally:
             derive._word_monomials.cache_clear()
         assert got == want
+
+    def test_word_expansion_matches_the_matching_loop(self):
+        """Per-length sub-matchings give the loop's monomials and sums: the terms add in the same order."""
+        words = sorted({w for target in TARGETS.values() for _, w in target.words})
+        assert len(words) == 13
+        for word in words:
+            got, want = derive._word_monomials(word), loop_word_monomials(word)
+            assert got.keys() == want.keys(), word
+            assert got == want, word
+        for k, reached in ((2, 4), (3, 49), (4, 764)):
+            parts, matching, sub, _ = derive._submatchings(k)
+            assert len(parts) == len(_matching_kernel(k)[0])
+            assert len(set(sub[np.abs(_matching_kernel(k)[1][matching]) >= 1e-9].tolist())) == reached
 
     def test_support_totals_stand_clear_of_noise(self):
         """The 1e-9 cut between kept and dropped monomials falls in a wide gap."""
@@ -604,6 +657,35 @@ class TestBattery:
         table = fits["pi2"].as_table()
         assert table.startswith("# target: pi2")
         assert len(table.strip().splitlines()) == 10  # header plus nine rows
+
+
+class TestCertification:
+    """Every fit is checked exactly on the certification pairs its seed shares."""
+
+    @pytest.mark.parametrize("target", ["pi2", "o2"])
+    def test_a_coefficient_moved_by_a_third_is_rejected(self, fits, target):
+        fit, oracle = fits[target], TARGETS[target]
+        assert _certified(oracle, fit.basis, fit.entries, 42)
+        for k in fit.entries:
+            moved = dict(fit.entries)
+            moved[k] += Fraction(1, 3)
+            assert not _certified(oracle, fit.basis, moved, 42), fit.basis.monomial_string(k)
+
+    def test_one_derivation_evaluates_each_class_once_per_pair(self, monkeypatch):
+        calls = []
+        exact = derive.probability_exact
+
+        def counted(*args):
+            calls.append(args[0])
+            return exact(*args)
+
+        monkeypatch.setattr(derive, "probability_exact", counted)
+        derive._certification_pairs.cache_clear()
+        derive._exact_probabilities.cache_clear()
+        fits = derive_targets(seed=42)
+        classes = {fit.basis.graphs[i].key() for fit in fits.values() for i in fit.support_graphs()}
+        assert all(fit.exact_certified for fit in fits.values() if fit.entries)
+        assert len(calls) <= EXACT_CHECK_PAIRS * len(classes)
 
 
 def test_moment_tables_at_a_held_out_seed():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from qoverlap.core import ModeLayout, ginibre_states, random_state, to_correlation
 from qoverlap.graphs import (
     MeasurementGraph,
+    _connected_spanning,
     _copy_operands,
     _einsum_recipe,
+    _exchange_minimum,
     _normalize_edges,
     connected_components,
     count_matchings,
@@ -17,6 +19,7 @@ from qoverlap.graphs import (
     enumerate_classes,
     enumerate_matchings,
     is_connected_spanning,
+    matching_partners,
     probability_batch,
     probability_exact,
 )
@@ -56,13 +59,8 @@ def fingerprints(classes):
     return [tuple(np.round(probability_batch(g, R1s, R2s), 10)) for g in classes]
 
 
-def reference_class_keys(max_copies):
-    """Keys of ``enumerate_classes`` rebuilt by brute force on the reference canonical form.
-
-    No two of the classes share a fingerprint, so none is the same
-    measurement as another.
-    """
-    order = lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)  # noqa: E731
+def brute_force_classes(max_copies, canonical=MeasurementGraph.canonical):
+    """``enumerate_classes`` by scan: every matching, ``is_connected_spanning``, then ``canonical``."""
     classes = {}
     for n1 in range(max_copies + 1):
         for n2 in range(max_copies + 1 - n1):
@@ -71,11 +69,31 @@ def reference_class_keys(max_copies):
             layout = ModeLayout.standard(n1, n2)
             for edges in enumerate_matchings(list(range(layout.n_modes))):
                 if edges and is_connected_spanning(layout, edges):
-                    g = reference_canonical(MeasurementGraph(layout, edges))
+                    g = canonical(MeasurementGraph(layout, edges))
                     classes.setdefault(g.key(), g)
-    ordered = sorted(classes.values(), key=order)
+    return sorted(classes.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges))
+
+
+def reference_class_keys(max_copies):
+    """Keys of ``enumerate_classes`` rebuilt by brute force on the reference canonical form.
+
+    No two of the classes share a fingerprint, so none is the same
+    measurement as another.
+    """
+    ordered = brute_force_classes(max_copies, reference_canonical)
     assert len(set(fingerprints(ordered))) == len(ordered)
     return [g.key() for g in ordered]
+
+
+def connected_forms():
+    """Every connected spanning matching on every standard layout of one to four copies."""
+    return [
+        MeasurementGraph(layout, edges)
+        for n in range(1, 5)
+        for layout in (ModeLayout.standard(n1, n - n1) for n1 in range(n + 1))
+        for edges in enumerate_matchings(list(range(2 * n)))
+        if edges and is_connected_spanning(layout, edges)
+    ]
 
 
 @st.composite
@@ -126,6 +144,21 @@ class TestEnumeration:
         assert isinstance(got, tuple) and enumerate_classes(4) is got
         assert [g.key() for g in got] == reference_class_keys(4)
 
+    @pytest.mark.parametrize("max_copies", [1, 2, 3, 4])
+    def test_orbit_members_match_the_matching_scan(self, max_copies):
+        want = brute_force_classes(max_copies)
+        got = enumerate_classes(max_copies)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w, (str(g), str(w))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_connectivity_mask_matches_the_component_search(self, n):
+        matchings = enumerate_matchings(list(range(2 * n)))
+        mask = _connected_spanning(matching_partners(matchings, 2 * n))
+        layout = ModeLayout((1,) * n)
+        assert mask.tolist() == [bool(m) and is_connected_spanning(layout, m) for m in matchings]
+
 
 class TestCanonical:
     @settings(max_examples=300, deadline=None)
@@ -138,6 +171,25 @@ class TestCanonical:
     def test_invariant_under_copy_exchange(self, pair):
         g, h = pair
         assert g.canonical().key() == h.canonical().key()
+
+    def test_memo_matches_the_exchange_minimum(self):
+        """The memoized form is the unmemoized minimum, also after relabelling into larger layouts."""
+        exchange_minimum = _exchange_minimum.__wrapped__
+        forms = connected_forms()
+        assert len(forms) == 1348
+        rng = np.random.default_rng(23)
+        for g in forms:
+            want = MeasurementGraph(g.layout, exchange_minimum(g.counts(), g.edges))
+            assert g.canonical() == want, str(g)
+            # Copy c moves to position spots[c] of a layout with up to four copies.
+            total = int(rng.integers(g.n_copies, 5))
+            spots = rng.permutation(total)[: g.n_copies]
+            copies = list(rng.integers(1, 3, total))
+            for c, spot in enumerate(spots):
+                copies[spot] = g.layout.copies[c]
+            h = g.relabel(dict(enumerate(spots.tolist())), ModeLayout(tuple(copies)))
+            assert h.canonical() == want, (str(g), h)
+            assert h.canonical().key() == reference_canonical(h).key(), (str(g), h)
 
 
 class TestGraphValidation:

@@ -603,7 +603,47 @@ class TestBootstrap:
         assert calls == ["eigvals"]
 
 
+def reference_plan(graphs):
+    """``plan_configurations`` with an embedding search for every pair of required graphs."""
+    required = {}
+    for g in graphs:
+        required.setdefault(g.canonical().key(), g.canonical())
+    req = sorted(required.values(), key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges))
+    maximal = [g for g in req if all(h.key() == g.key() or find_embedding(h, g) is None for h in req)]
+    bins = []
+    for g in sorted(maximal, key=lambda g: (-g.n_copies, g.counts(), g.edges)):
+        for b in bins:
+            if sum(m.n_copies for m in b) + g.n_copies <= interferometer.CONFIGURATION_COPIES:
+                b.append(g)
+                break
+        else:
+            bins.append([g])
+    configurations = tuple(interferometer.Configuration(tuple(b)) for b in bins)
+    hosts = {}
+    for g in req:
+        hosts[g.key()] = next(
+            (ci, mi, emb)
+            for ci, conf in enumerate(configurations)
+            for mi, member in enumerate(conf.members)
+            if (emb := find_embedding(member, g)) is not None
+        )
+    return interferometer.ConfigurationPlan(
+        graphs=tuple(req),
+        maximal=tuple(maximal),
+        free=tuple(g for g in req if g not in maximal),
+        configurations=configurations,
+        hosts=hosts,
+    )
+
+
 class TestPlanning:
+    def test_copy_count_check_keeps_every_plan(self, fits):
+        """Skipping hosts with too few copies of a state changes no claim-report or estimator plan."""
+        workflows = [("pi2",), ("o2",), ("pi2", "pi3", "pi4"), STAT_NAMES]
+        for names in workflows:
+            graphs = [fits[t].basis.graphs[i] for t in names for i in fits[t].support_graphs()]
+            assert plan_configurations(graphs) == reference_plan(graphs), names
+
     def test_pi2_plan_shape(self):
         """Nine quadratic graphs pack into one six-pair configuration."""
         plan = plan_configurations(pi2_graphs())
