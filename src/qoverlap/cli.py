@@ -33,16 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import __version__, random_state
-from .derive import (
-    ResidualError,
-    TARGETS,
-    derive_targets,
-    measurement_forms,
-    verify_table_claims,
-)
+from .derive import ResidualError, derive_targets, measurement_forms, verify_table_claims
 from .interferometer import estimate_distances, plan_configurations
 from .oracle import distance_set, overlap
-from .overlaps import distances_from_overlaps, moments_from_overlaps, overlap_set
+from .overlaps import TARGETS, distances_from_overlaps, moments_from_overlaps, overlap_set
 from .statefile import load_state
 
 __all__ = ["main", "build_parser"]
@@ -93,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(TARGETS) + ["all"],
         default=None,
         help="target functional to fit (repeatable; default: all)",
-    )
-    v.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="random pairs in the fitting ensemble (default: sized from the basis)",
     )
     v.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
     v.add_argument("--out", default=None, help="write the tables here instead of stdout")
@@ -290,7 +278,7 @@ def _fit_summary(fit) -> dict:
 def cmd_derive(args) -> int:
     everything = args.target is None or "all" in args.target
     seed = args.seed
-    fits = derive_targets(None if everything else args.target, seed=seed, samples=args.samples)
+    fits = derive_targets(None if everything else args.target, seed=seed)
     report = verify_table_claims(fits) if everything else None
 
     if args.format == "json":

@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .graphs import (
     probability_exact,
 )
 from . import interferometer
+from .overlaps import TARGETS, Arithmetic, Target
 
 __all__ = [
     "MonomialBasis",
@@ -47,8 +48,6 @@ __all__ = [
     "Claim",
     "ClaimReport",
     "verify_table_claims",
-    "Target",
-    "TARGETS",
 ]
 
 SNAP_TOL = 1e-7          # distance to the nearest k/3 at which we snap
@@ -60,111 +59,6 @@ EXACT_CHECK_PAIRS = 24   # rational state pairs used for certification
 
 class ResidualError(RuntimeError):
     """No representation found: held-out residual exceeded the bound."""
-
-
-# ---------------------------------------------------------------------------
-# Targets
-# ---------------------------------------------------------------------------
-
-
-class Arithmetic(NamedTuple):
-    """The matrix operations of one number system, for :class:`Target`."""
-
-    one: object
-    identity: object
-    mul: Callable
-    sub: Callable
-    trace: Callable
-
-
-def _real_trace(x: np.ndarray):
-    """Real part of the trace over the last two axes; a Python float for one matrix."""
-    t = np.trace(x, axis1=-2, axis2=-1).real
-    return float(t) if t.ndim == 0 else t
-
-
-FLOAT = Arithmetic(
-    one=1.0,
-    identity=np.eye(4, dtype=complex),
-    mul=np.matmul,
-    sub=np.subtract,
-    trace=_real_trace,
-)
-
-
-@dataclass(frozen=True)
-class Target:
-    """One functional of a state pair that the derivation can fit.
-
-    A ``word`` (s1..sk) is Tr[rho_s1 ... rho_sk], a ``moment`` n is
-    Tr[(rho1 - rho2)^n], and a target with neither is the constant 1.
-    ``prefer`` names targets fitted earlier whose graph classes this fit
-    reuses wherever its representation allows.
-    """
-
-    name: str
-    word: tuple[int, ...] = ()
-    moment: int = 0
-    prefer: tuple[str, ...] = ()
-
-    @property
-    def words(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Signed word expansion; a moment's words are merged up to cyclic rotation."""
-        if not self.moment:
-            return ((1, self.word),) if self.word else ()
-        n, acc = self.moment, Counter()
-        for word in product((1, 2), repeat=n):
-            acc[min(word[i:] + word[:i] for i in range(n))] += (-1) ** word.count(2)
-        return tuple((c, w) for w, c in sorted(acc.items()))
-
-    @property
-    def copies(self) -> int:
-        """Copies per monomial of the basis the fit needs: 2 unless a word is longer."""
-        return 2 if max((len(w) for _, w in self.words), default=0) <= 2 else 4
-
-    def __call__(self, rho1, rho2, arith: Arithmetic = FLOAT):
-        """Value on a pair, in floats or, with ``arith=EXACT``, exact rationals.
-
-        In floats, one pair of 4x4 matrices gives a Python float, and two
-        ``(S, 4, 4)`` stacks give the array of the S pairs' values, each
-        bitwise the value of its pair alone: ``matmul`` and the trace work
-        matrix by matrix in the same order.  The constant target is the
-        scalar 1 either way.  A moment is computed from its power, never
-        from its word expansion (the fits are what check that expansion),
-        with ``np.linalg.matrix_power``'s product order: a square, then
-        one more factor or a second square.
-        """
-        if self.moment:
-            lam = arith.sub(rho1, rho2)
-            power = arith.mul(lam, lam)
-            if self.moment > 2:
-                power = arith.mul(power, lam if self.moment == 3 else power)
-            return arith.trace(power)
-        if not self.word:
-            return arith.one
-        factors = (rho1 if s == 1 else rho2 for s in self.word)
-        return arith.trace(reduce(arith.mul, factors, arith.identity))
-
-
-#: Every fittable target in fit and output order; ``prefer`` targets come first.
-TARGETS: dict[str, Target] = {
-    t.name: t
-    for t in (
-        Target("one"),
-        Target("o11", word=(1, 1)),
-        Target("o22", word=(2, 2)),
-        Target("o12", word=(1, 2)),
-        Target("pi2", moment=2),
-        Target("w1111", word=(1, 1, 1, 1)),
-        Target("w1112", word=(1, 1, 1, 2)),
-        Target("w1122", word=(1, 1, 2, 2)),
-        Target("o2", word=(1, 2, 1, 2)),
-        Target("w1222", word=(1, 2, 2, 2)),
-        Target("w2222", word=(2, 2, 2, 2)),
-        Target("pi3", moment=3),
-        Target("pi4", moment=4, prefer=("pi2", "pi3")),
-    )
-}
 
 
 # ---------------------------------------------------------------------------
@@ -853,13 +747,11 @@ def fit_coefficients(
     )
 
 
-#: Fewest ensemble pairs per basis copy count; above it, twice the monomials plus 100.
-_SAMPLE_FLOOR = {2: 600, 4: 1400}
+#: Ensemble pairs per basis copy count: above twice the basis's monomials (247 and 554) plus 100.
+_SAMPLES = {2: 600, 4: 1400}
 
 
-def derive_targets(
-    targets: Iterable[str] | None = None, seed: int = 42, samples: int | None = None
-) -> dict[str, CoefficientVector]:
+def derive_targets(targets: Iterable[str] | None = None, seed: int = 42) -> dict[str, CoefficientVector]:
     """Fit ``targets`` (default: every target) and return the fits in table order.
 
     Each target is fitted on the basis its words need.  A target with
@@ -879,27 +771,24 @@ def derive_targets(
         if name not in needed:
             continue
         basis = bases[target.copies]
-        n = samples
-        if n is None:
-            n = max(_SAMPLE_FLOOR[target.copies], 2 * basis.n_monomials + 100)
         prefer = frozenset(
             basis.index_of_graph(fits[t].basis.graphs[i])
             for t in target.prefer
             for i in fits[t].support_graphs()
         ) if target.prefer else None
-        fits[name] = fit_coefficients(name, basis, samples=n, seed=seed, prefer_classes=prefer)
+        fits[name] = fit_coefficients(
+            name, basis, samples=_SAMPLES[target.copies], seed=seed, prefer_classes=prefer
+        )
     return {t: fit for t, fit in fits.items() if t in wanted}
 
 
-def measurement_forms(
-    seed: int = 42, samples: int | None = None
-) -> dict[str, list[tuple[float, tuple[MeasurementGraph, ...]]]]:
-    """Graph decompositions of the six estimator statistics.
+def measurement_forms() -> dict[str, list[tuple[float, tuple[MeasurementGraph, ...]]]]:
+    """Graph decompositions of the six estimator statistics, fitted at seed 42.
 
     The ``target -> [(coefficient, graphs)]`` shape that
     :func:`qoverlap.interferometer.estimate_distances` expects.
     """
-    fits = derive_targets(interferometer.STAT_NAMES, seed=seed, samples=samples)
+    fits = derive_targets(interferometer.STAT_NAMES)
     return {t: fit.as_form() for t, fit in fits.items()}
 
 

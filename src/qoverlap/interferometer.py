@@ -38,7 +38,7 @@ from .graphs import (
     probability_batch,
 )
 from .oracle import distance_set
-from .overlaps import P_MINUS, characteristic_roots
+from .overlaps import P_MINUS, TARGETS, characteristic_roots
 
 __all__ = [
     "Configuration",
@@ -55,7 +55,7 @@ __all__ = [
 
 PATTERN_TOL = 1e-9       # tolerated leakage of a joint distribution; entries at or below it read 0
 DEGENERATE_SIGMA = 4.0   # radicand within this many sigma of 0 -> guarded error bar
-BOOTSTRAP_DEFAULT = 200
+BOOTSTRAP_DRAWS = 200    # parametric bootstrap draws behind the trace-distance error
 CONFIGURATION_COPIES = 6  # copies one configuration may prepare at once
 
 
@@ -265,7 +265,7 @@ class ConfigurationPlan:
     free: tuple[MeasurementGraph, ...]
     configurations: tuple[Configuration, ...]
     hosts: dict  # canonical key -> (config index, member index, edge-index tuple)
-    #: Estimator arrays built from this plan at its first estimate (see :func:`_compiled`).
+    #: Estimator program and form arrays built from this plan at its first estimate (see :func:`_compiled`).
     _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -380,21 +380,29 @@ class EstimationReport:
 STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 
 
-def _plan_members(plan: ConfigurationPlan) -> dict[tuple[int, int], MeasurementGraph]:
-    """Every prepared member by (configuration, member) index, in order: the rows of the pattern and count stacks."""
-    return {(ci, mi): m for ci, conf in enumerate(plan.configurations) for mi, m in enumerate(conf.members)}
+class _PlanProgram(NamedTuple):
+    """How one estimate samples a plan's members and reads its graphs (see :func:`_plan_program`)."""
+
+    groups: tuple          # (member rows, _PatternGroup) per stacked group
+    widths: tuple          # pattern length, 2**edges, per member row
+    keys: list             # the plan's graph keys, in ``plan.graphs`` order
+    at: np.ndarray         # graph -> flat (member row, edge bitmask) index
+    pairs: tuple           # (first, second) graph of every pair on one member, self-pairs included
+    union_at: np.ndarray   # each pair's flat (member row, union bitmask) index
 
 
-class _SamplingProgram(NamedTuple):
-    """How one estimate computes a plan's patterns (see :func:`_sampling_program`)."""
+def _plan_program(plan: ConfigurationPlan) -> _PlanProgram:
+    """The plan's members, one row each, grouped for stacked contraction, and where its graphs are read.
 
-    groups: tuple    # (member rows, _PatternGroup) per stacked group
-    widths: tuple    # pattern length, 2**edges, per member row
-
-
-def _sampling_program(plan: ConfigurationPlan) -> _SamplingProgram:
-    """The plan's members grouped by pattern subscripts and copy slices, one stacked contraction per group."""
-    members = list(_plan_members(plan).values())
+    Rows run in configuration order: a member's row is its
+    configuration's offset in the cumulative member counts plus its index
+    within the configuration.  Members sharing pattern subscripts and
+    copy slices form one stacked contraction group.  The flat indices
+    address rows of ``2**max_edges`` entries, so a row's index bits never
+    meet an edge bitmask.
+    """
+    members = [m for conf in plan.configurations for m in conf.members]
+    offsets = np.cumsum([0] + [len(conf.members) for conf in plan.configurations])
     by_subscripts: dict[tuple, list[int]] = {}
     for row, member in enumerate(members):
         spec, copy_plan = _pattern_contraction(member)
@@ -402,10 +410,17 @@ def _sampling_program(plan: ConfigurationPlan) -> _SamplingProgram:
     groups = tuple(
         (np.array(rows), _pattern_group(tuple(members[r] for r in rows))) for rows in by_subscripts.values()
     )
-    return _SamplingProgram(groups, tuple(2**m.n_edges for m in members))
+    widths = tuple(2**m.n_edges for m in members)
+    keys = [g.key() for g in plan.graphs]
+    hosts = [plan.hosts[key] for key in keys]
+    rows = np.array([offsets[ci] + mi for ci, mi, _ in hosts])
+    masks = np.array([sum(1 << k for k in emb) for _, _, emb in hosts])
+    at = rows * max(widths) + masks
+    first, second = np.nonzero(rows[:, None] == rows[None, :])
+    return _PlanProgram(groups, widths, keys, at, (first, second), at[first] | masks[second])
 
 
-def _plan_patterns(program: _SamplingProgram, R1, R2) -> np.ndarray:
+def _plan_patterns(program: _PlanProgram, R1, R2) -> np.ndarray:
     """Every member's pattern distribution, one zero-padded row per member."""
     patterns = np.zeros((len(program.widths), max(program.widths)))
     Rs = np.stack([R1, R2])
@@ -414,7 +429,7 @@ def _plan_patterns(program: _SamplingProgram, R1, R2) -> np.ndarray:
     return patterns
 
 
-def _sample_plan(program: _SamplingProgram, R1, R2, shots, seed) -> np.ndarray:
+def _sample_plan(program: _PlanProgram, R1, R2, shots, seed) -> np.ndarray:
     """Multinomial pattern counts, one zero-padded row and one spawned stream per member, deterministic under seed."""
     patterns = _plan_patterns(program, R1, R2)
     counts = np.zeros(patterns.shape, dtype=np.int64)
@@ -424,47 +439,19 @@ def _sample_plan(program: _SamplingProgram, R1, R2, shots, seed) -> np.ndarray:
     return counts
 
 
-class _HostArrays(NamedTuple):
-    """Where :func:`_graph_estimates` reads the planned graphs in the flattened superset sums."""
-
-    keys: list             # the plan's graph keys, in ``plan.graphs`` order
-    at: np.ndarray         # graph -> flat (member row, edge bitmask) index
-    pairs: tuple           # (first, second) graph of every pair on one member, self-pairs included
-    union_at: np.ndarray   # each pair's flat (member row, union bitmask) index
-
-
-def _host_arrays(plan: ConfigurationPlan) -> _HostArrays:
-    """The plan's graph keys and the flat indices :func:`_graph_estimates` gathers.
-
-    Rows are :func:`_plan_members` order and hold ``2**max_edges``
-    entries, so a row's index bits never meet an edge bitmask.
-    """
-    members = _plan_members(plan)
-    row = {member: r for r, member in enumerate(members)}
-    width = max(2**m.n_edges for m in members.values())
-    keys = [g.key() for g in plan.graphs]
-    hosts = [plan.hosts[key] for key in keys]
-    rows = np.array([row[ci, mi] for ci, mi, _ in hosts])
-    masks = np.array([sum(1 << k for k in emb) for _, _, emb in hosts])
-    at = rows * width + masks
-    first, second = np.nonzero(rows[:, None] == rows[None, :])
-    return _HostArrays(keys, at, (first, second), at[first] | masks[second])
-
-
-def _graph_estimates(hosts: _HostArrays, counts: np.ndarray, shots):
+def _graph_estimates(program: _PlanProgram, counts: np.ndarray, shots):
     """Estimates, in ``plan.graphs`` order, and covariance of every planned graph probability.
 
-    ``hosts`` is :func:`_host_arrays` of the plan and ``counts`` the
-    padded count stack of :func:`_sample_plan`; one superset sum serves
-    every member.  Within one member, Cov(p_X, p_Y) = (p_{X union Y} -
-    p_X p_Y)/N with the union read off the same counts; across members
-    everything is independent by construction.
+    ``counts`` is the padded count stack of :func:`_sample_plan`; one
+    superset sum serves every member.  Within one member, Cov(p_X, p_Y)
+    = (p_{X union Y} - p_X p_Y)/N with the union read off the same
+    counts; across members everything is independent by construction.
     """
     at_least = _superset_sums(counts).reshape(-1)
-    phat = at_least[hosts.at] / shots
-    first, second = hosts.pairs
+    phat = at_least[program.at] / shots
+    first, second = program.pairs
     cov = np.zeros((len(phat), len(phat)))
-    cov[first, second] = (at_least[hosts.union_at] / shots - phat[first] * phat[second]) / shots
+    cov[first, second] = (at_least[program.union_at] / shots - phat[first] * phat[second]) / shots
     return phat, cov
 
 
@@ -517,10 +504,10 @@ def _form_arrays(forms, keys) -> _FormArrays:
     )
 
 
-def _compiled(plan: ConfigurationPlan, forms) -> tuple[_SamplingProgram, _HostArrays, _FormArrays]:
-    """The plan's :func:`_sampling_program` and :func:`_host_arrays`, and the forms' :func:`_form_arrays`.
+def _compiled(plan: ConfigurationPlan, forms) -> tuple[_PlanProgram, _FormArrays]:
+    """The plan's :func:`_plan_program` and the forms' :func:`_form_arrays`.
 
-    All are built at the plan's first estimate and kept on the plan.
+    Both are built at the plan's first estimate and kept on the plan.
     The form arrays are rebuilt whenever the forms differ by value from
     the ones they were built from, so an edited form never meets stale
     arrays.  Each entry is stored whole, together with the forms it was
@@ -529,17 +516,14 @@ def _compiled(plan: ConfigurationPlan, forms) -> tuple[_SamplingProgram, _HostAr
     cache = plan._arrays
     program = cache.get("program")
     if program is None:
-        program = cache["program"] = _sampling_program(plan)
-    hosts = cache.get("hosts")
-    if hosts is None:
-        hosts = cache["hosts"] = _host_arrays(plan)
+        program = cache["program"] = _plan_program(plan)
     snapshot = tuple(
         (n, tuple((c, tuple(gs)) for c, gs in forms[n])) for n in STAT_NAMES if n in forms
     )
     built = cache.get("forms")
     if built is None or built[0] != snapshot:
-        built = cache["forms"] = (snapshot, _form_arrays(forms, hosts.keys))
-    return program, hosts, built[1]
+        built = cache["forms"] = (snapshot, _form_arrays(forms, program.keys))
+    return program, built[1]
 
 
 def _stat_values(arrays: _FormArrays, phat, cov):
@@ -610,7 +594,6 @@ def estimate_distances(
     shots: int,
     seed: int = 42,
     threads: int = 1,
-    bootstrap: int = BOOTSTRAP_DEFAULT,
     plan: ConfigurationPlan | None = None,
 ) -> EstimationReport:
     """Simulate the full interferometric workflow and report estimates.
@@ -621,8 +604,8 @@ def estimate_distances(
     form is measured through the configuration plan (built here unless
     one is supplied); statistic errors come from the delta method on the
     joint multinomial counts, and the trace-distance error from a
-    parametric bootstrap over the moment estimates: ``bootstrap`` (at
-    least 2) normal draws.  Their quartics, the point estimate's and the
+    parametric bootstrap over the moment estimates: ``BOOTSTRAP_DRAWS``
+    normal draws.  Their quartics, the point estimate's and the
     formula's are one :func:`characteristic_roots` call.  The
     chain-inequality audit runs on the oracle values, where a violation
     indicates a bug rather than shot noise.  Sampling runs on the calling
@@ -630,17 +613,14 @@ def estimate_distances(
     any other value raises :class:`ValueError`.
 
     What depends only on the plan and the forms is compiled once: the
-    plan's sampling program (:func:`_sampling_program`) and host index
-    arrays at its first estimate, and the forms' monomial index arrays
-    per plan, where a graph the plan lacks raises :class:`PlanError`.
+    plan's program (:func:`_plan_program`) at its first estimate, and the
+    forms' monomial index arrays per plan, where a graph the plan lacks raises :class:`PlanError`.
     Later calls with the same plan reuse them while the forms are equal
     by value; forms that differ rebuild the form arrays.  A call without
     a plan plans and compiles afresh.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    if bootstrap < 2:
-        raise ValueError(f"bootstrap must be at least 2 draws for a spread, got {bootstrap}")
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
     rho1 = np.asarray(rho1, dtype=complex)
@@ -650,16 +630,14 @@ def estimate_distances(
         raise ValueError(f"forms missing statistics {missing}")
     if plan is None:
         plan = plan_configurations([g for form in forms.values() for _, graphs in form for g in graphs])
-    program, hosts, arrays = _compiled(plan, forms)
+    program, arrays = _compiled(plan, forms)
     R1, R2 = to_correlation(rho1), to_correlation(rho2)
 
     counts = _sample_plan(program, R1, R2, shots, seed)
-    phat, cov = _graph_estimates(hosts, counts, shots)
+    phat, cov = _graph_estimates(program, counts, shots)
     values, C = _stat_values(arrays, phat, cov)
     names = arrays.names
     stat = dict(zip(names, values))
-
-    from .derive import TARGETS  # derive imports this module at load time
 
     stat_oracle = {n: TARGETS[n](rho1, rho2) for n in STAT_NAMES}
     statistics = tuple(
@@ -705,7 +683,7 @@ def estimate_distances(
     evals, evecs = np.linalg.eigh(Cm)
     Cm = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     brng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
-    draws = brng.multivariate_normal([pi2, pi3, pi4], Cm, size=bootstrap, method="eigh")
+    draws = brng.multivariate_normal([pi2, pi3, pi4], Cm, size=BOOTSTRAP_DRAWS, method="eigh")
     formula_moments = [pi2_oracle, stat_oracle["pi3"], stat_oracle["pi4"]]
     moment_rows = np.vstack([[pi2, pi3, pi4], draws, formula_moments])
     moment_rows[:-1, 0] = np.where(moment_rows[:-1, 0] < 0.0, 0.0, moment_rows[:-1, 0])

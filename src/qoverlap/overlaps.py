@@ -1,4 +1,8 @@
-"""Correlation-matrix overlap algebra.
+"""Correlation-matrix overlap algebra and the target table.
+
+:data:`TARGETS` is the one table of the words, moments and constant that
+every route evaluates: the derivation fits them, the estimator takes its
+oracle values from them, and the overlap route below evaluates their words.
 
 Everything a singlet-projection experiment can reach lives here:
 first/second-order and mixed-word overlaps, all from star products of
@@ -13,14 +17,21 @@ the spectral oracle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation, trace_tensor
 
 __all__ = [
+    "Arithmetic",
+    "FLOAT",
+    "Target",
+    "TARGETS",
     "P_MINUS",
     "factor_tensor",
     "overlap_first",
@@ -42,6 +53,108 @@ __all__ = [
     "overlap_operator_residual",
     "product_rule_residual",
 ]
+
+
+class Arithmetic(NamedTuple):
+    """The matrix operations of one number system, for :class:`Target`."""
+
+    one: object
+    identity: object
+    mul: Callable
+    sub: Callable
+    trace: Callable
+
+
+def _real_trace(x: np.ndarray):
+    """Real part of the trace over the last two axes; a Python float for one matrix."""
+    t = np.trace(x, axis1=-2, axis2=-1).real
+    return float(t) if t.ndim == 0 else t
+
+
+FLOAT = Arithmetic(
+    one=1.0,
+    identity=np.eye(4, dtype=complex),
+    mul=np.matmul,
+    sub=np.subtract,
+    trace=_real_trace,
+)
+
+
+@dataclass(frozen=True)
+class Target:
+    """One functional of a state pair that the derivation can fit.
+
+    A ``word`` (s1..sk) is Tr[rho_s1 ... rho_sk], a ``moment`` n is
+    Tr[(rho1 - rho2)^n], and a target with neither is the constant 1.
+    ``prefer`` names targets fitted earlier whose graph classes this fit
+    reuses wherever its representation allows.
+    """
+
+    name: str
+    word: tuple[int, ...] = ()
+    moment: int = 0
+    prefer: tuple[str, ...] = ()
+
+    @property
+    def words(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Signed word expansion; a moment's words are merged up to cyclic rotation."""
+        if not self.moment:
+            return ((1, self.word),) if self.word else ()
+        n, acc = self.moment, Counter()
+        for word in product((1, 2), repeat=n):
+            acc[min(word[i:] + word[:i] for i in range(n))] += (-1) ** word.count(2)
+        return tuple((c, w) for w, c in sorted(acc.items()))
+
+    @property
+    def copies(self) -> int:
+        """Copies per monomial of the basis the fit needs: 2 unless a word is longer."""
+        return 2 if max((len(w) for _, w in self.words), default=0) <= 2 else 4
+
+    def __call__(self, rho1, rho2, arith: Arithmetic = FLOAT):
+        """Value on a pair, in floats or, with ``arith=EXACT``, exact rationals.
+
+        In floats, one pair of 4x4 matrices gives a Python float, and two
+        ``(S, 4, 4)`` stacks give the array of the S pairs' values, each
+        bitwise the value of its pair alone: ``matmul`` and the trace work
+        matrix by matrix in the same order.  The constant target is the
+        scalar 1 either way.  A moment is computed from its power, never
+        from its word expansion (the fits are what check that expansion),
+        with ``np.linalg.matrix_power``'s product order: a square, then
+        one more factor or a second square.
+        """
+        if self.moment:
+            lam = arith.sub(rho1, rho2)
+            power = arith.mul(lam, lam)
+            if self.moment > 2:
+                power = arith.mul(power, lam if self.moment == 3 else power)
+            return arith.trace(power)
+        if not self.word:
+            return arith.one
+        factors = (rho1 if s == 1 else rho2 for s in self.word)
+        return arith.trace(reduce(arith.mul, factors, arith.identity))
+
+
+#: Every fittable target in fit and output order; ``prefer`` targets come first.
+TARGETS: dict[str, Target] = {
+    t.name: t
+    for t in (
+        Target("one"),
+        Target("o11", word=(1, 1)),
+        Target("o22", word=(2, 2)),
+        Target("o12", word=(1, 2)),
+        Target("pi2", moment=2),
+        Target("w1111", word=(1, 1, 1, 1)),
+        Target("w1112", word=(1, 1, 1, 2)),
+        Target("w1122", word=(1, 1, 2, 2)),
+        Target("o2", word=(1, 2, 1, 2)),
+        Target("w1222", word=(1, 2, 2, 2)),
+        Target("w2222", word=(2, 2, 2, 2)),
+        Target("pi3", moment=3),
+        Target("pi4", moment=4, prefer=("pi2", "pi3")),
+    )
+}
+
+
 
 #: Singlet projector |Psi-><Psi-| = (1/4)(I - sum_{i>=1} sigma_i x sigma_i).
 P_MINUS = (np.eye(4, dtype=complex) - sum(np.kron(PAULI[i], PAULI[i]) for i in (1, 2, 3))) / 4.0
@@ -154,11 +267,7 @@ def overlap_second(rho1: np.ndarray, rho2: np.ndarray) -> float:
 def word_overlap_matrix(word: str, rho1: np.ndarray, rho2: np.ndarray) -> float:
     """``Tr(rho_w1 rho_w2 ...)`` by direct matrix products; ``word`` is e.g. ``"1122"``."""
     _check_word(word)
-    states = {"1": np.asarray(rho1, dtype=complex), "2": np.asarray(rho2, dtype=complex)}
-    out = np.eye(4, dtype=complex)
-    for ch in word:
-        out = out @ states[ch]
-    return float(out.trace().real)
+    return Target(word, word=tuple(map(int, word)))(rho1, rho2)
 
 
 def word_overlap_bloch(word: str, R1: np.ndarray, R2: np.ndarray) -> float:
@@ -190,15 +299,13 @@ class OverlapSet:
     mixed: dict[str, float] = field(default_factory=dict)
 
 
-# Words feeding the third and fourth moments, beyond the first-order
-# overlaps and Tr[(rho1 rho2)^2].
-_MIXED_WORDS = ("111", "222", "112", "122", "1111", "2222", "1112", "1222", "1122", "1212")
+#: Every word of the targets' expansions, as ``"1122"``-style strings in table order.
+_WORDS = tuple(dict.fromkeys("".join(map(str, w)) for t in TARGETS.values() for _, w in t.words))
 
 
 def overlap_set(rho1: np.ndarray, rho2: np.ndarray) -> OverlapSet:
     """Assemble all overlaps of a pair from the star products of its correlation matrices."""
-    words = ("11", "22", "12") + _MIXED_WORDS
-    w = dict(zip(words, _word_values(words, rho1, rho2).tolist()))
+    w = dict(zip(_WORDS, _word_values(_WORDS, rho1, rho2).tolist()))
     return OverlapSet(O11=w.pop("11"), O22=w.pop("22"), O12=w.pop("12"), O2_12=w["1212"], mixed=w)
 
 
@@ -244,17 +351,12 @@ def moments_from_overlaps(o: OverlapSet) -> MomentSet:
 def moments(rho1: np.ndarray, rho2: np.ndarray) -> MomentSet:
     """Moments of ``rho1 - rho2`` from the overlap expansion.
 
-    Every term is recomputed by direct matrix products and the two
-    routes must agree to 1e-10.
+    Every moment is recomputed by direct matrix products (its entry in
+    :data:`TARGETS`) and the two routes must agree to 1e-10.
     """
     m = moments_from_overlaps(overlap_set(rho1, rho2))
-    lam = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
-    p = lam
-    direct = []
-    for _ in range(3):
-        p = p @ lam
-        direct.append(float(p.trace().real))
-    worst = max(abs(m.pi2 - direct[0]), abs(m.pi3 - direct[1]), abs(m.pi4 - direct[2]))
+    direct = (TARGETS[name](rho1, rho2) for name in ("pi2", "pi3", "pi4"))
+    worst = max(abs(v - d) for v, d in zip((m.pi2, m.pi3, m.pi4), direct))
     if worst > 1e-10:
         raise ValueError(f"overlap and matrix moment routes disagree by {worst:.3e}")
     return m

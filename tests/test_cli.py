@@ -110,6 +110,41 @@ class TestDistance:
         assert cli.main(["distance", BELL, MIXED, "--simulate", "0"]) == 1
         assert "positive shot count" in capsys.readouterr().err
 
+    def test_simulate_text_renders_the_report(self, forms, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
+        assert cli.main(["distance", BELL, MIXED, "--simulate", "5000", "--seed", "9", "--format", "json"]) == 0
+        sim = json.loads(capsys.readouterr().out)["simulation"]
+        assert cli.main(["distance", BELL, MIXED, "--simulate", "5000", "--seed", "9"]) == 0
+        text = capsys.readouterr().out.split("\n\nsimulation  ")[1]
+        lines = text.splitlines()
+        assert lines[0] == (
+            f"shots 5000  seed 9  photon pairs {sim['photon_pairs']}  configurations {sim['configurations']}"
+        )
+        body = [line.split() for line in lines[2:-1] if line and not line.startswith("measure ")]
+        rows = {row[0]: row[1:] for row in body}
+        assert list(rows) == [r["name"] for r in sim["statistics"] + sim["measures"]]
+        for r in sim["statistics"] + sim["measures"]:
+            got = rows[r["name"]]
+            assert float(got[0]) == pytest.approx(r["oracle"], abs=1e-10), r["name"]
+            assert float(got[-2]) == pytest.approx(r["estimate"], abs=1e-10), r["name"]
+            assert float(got[-1]) == pytest.approx(r["std_err"], rel=1e-3), r["name"]
+        assert lines[-1] == "simulation audit: ok"
+
+    def test_failed_simulation_audit_exits_one(self, forms, monkeypatch, capsys):
+        """A chain violation in the estimator's report fails the command, also when the oracle's audit holds."""
+        estimate = cli.estimate_distances
+
+        def violated(*args, **kwargs):
+            rep = estimate(*args, **kwargs)
+            return dataclasses.replace(rep, audit=(("E <= F", False),) + rep.audit[1:])
+
+        monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
+        monkeypatch.setattr(cli, "estimate_distances", violated)
+        assert cli.main(["distance", BELL, MIXED, "--simulate", "1000"]) == 1
+        out = capsys.readouterr().out
+        assert "audit: all chain inequalities hold" in out
+        assert out.endswith("simulation audit: VIOLATED: E <= F\n")
+
 
 class TestDerive:
     def test_single_target_table(self, capsys):
@@ -187,6 +222,31 @@ class TestDerive:
         out = capsys.readouterr().out
         assert "# target: pi4" in out and "# target: pi2" not in out
 
+    def test_all_targets_json_carries_the_claim_report(self, fits, monkeypatch, capsys):
+        monkeypatch.setattr(derive, "fit_coefficients", lambda target, *a, **k: fits[target])
+        assert cli.main(["derive", "--target", "all", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["fits"]) == list(fits)
+        report = derive.verify_table_claims(fits)
+        assert doc["claims"] == [
+            {
+                "workflow": c.workflow,
+                "quantity": c.quantity,
+                "stated": c.stated,
+                "achieved": c.achieved,
+                "match": c.match,
+                "note": c.note,
+            }
+            for c in report.claims
+        ]
+        assert doc["all_match"] is report.all_match is all(c["match"] for c in doc["claims"])
+
+    def test_samples_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["derive", "--target", "pi2", "--samples", "800"])
+        assert err.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """``main`` builds its parser once per process; one call leaves nothing in the next."""
@@ -251,6 +311,20 @@ class TestSweep:
         _, _, bias, rmse, mean_err = hs2.split(",")
         # bias consistent with zero at a few reported standard errors
         assert abs(float(bias)) < 4 * float(mean_err)
+
+    def test_pure_ensemble_draws_pure_pairs(self, forms, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
+        drawn = []
+        draw = cli._draw_pair
+        monkeypatch.setattr(cli, "_draw_pair", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        out = tmp_path / "pure.csv"
+        argv = ["sweep", "--pairs", "2", "--shots", "1000", "--ensemble", "pure", "--seed", "6"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 5 and all(line.startswith("1000,") for line in lines[1:])
+        assert len(drawn) == 2
+        for pair in drawn:
+            assert [np.linalg.matrix_rank(rho, tol=1e-9) for rho in pair] == [1, 1]
 
     def test_bad_shots_validation(self, forms, monkeypatch, capsys):
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)

@@ -13,7 +13,6 @@ from qoverlap.derive import (
     EXACT,
     EXACT_CHECK_PAIRS,
     FIT_TOL,
-    TARGETS,
     ResidualError,
     _certified,
     _design_context,
@@ -38,6 +37,7 @@ from qoverlap.graphs import (
     matching_orbits,
     probability_exact,
 )
+from qoverlap.overlaps import TARGETS
 
 
 def fresh_ensemble(n, seed):

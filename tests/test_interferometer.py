@@ -17,12 +17,10 @@ from qoverlap.interferometer import (
     _form_arrays,
     _graph_estimates,
     _group_patterns,
-    _host_arrays,
     _pattern_contraction,
-    _plan_members,
     _plan_patterns,
+    _plan_program,
     _sample_plan,
-    _sampling_program,
     _stat_values,
     _superset_sums,
     estimate_distances,
@@ -214,7 +212,7 @@ class TestCompiledEstimator:
 
     def test_one_compile_per_plan_and_forms(self, forms, bell, mixed, monkeypatch):
         built = []
-        for name in ("_sampling_program", "_host_arrays", "_form_arrays"):
+        for name in ("_plan_program", "_form_arrays"):
             fn = getattr(interferometer, name)
             monkeypatch.setattr(
                 interferometer, name, lambda *a, fn=fn, name=name: built.append(name) or fn(*a)
@@ -225,7 +223,7 @@ class TestCompiledEstimator:
             estimate_distances(bell, mixed, f, shots=1000, seed=seed, plan=plan)
             for f, seed in ((forms, 1), (forms, 2), (copy, 3))
         ]
-        once = ["_sampling_program", "_host_arrays", "_form_arrays"]
+        once = ["_plan_program", "_form_arrays"]
         assert built == once
         assert reports[0].seed == 1 and reports[2].seed == 3
         coeff, graphs = copy["o12"][0]
@@ -236,7 +234,7 @@ class TestCompiledEstimator:
         assert built == once + ["_form_arrays"] + once
 
     def test_planning_builds_no_arrays(self, forms):
-        """The program, host and form arrays wait for the plan's first estimate."""
+        """The program and the form arrays wait for the plan's first estimate."""
         assert self.fresh_plan(forms)._arrays == {}
 
     def test_forms_edited_in_place_give_a_fresh_report(self, forms, bell, mixed):
@@ -282,12 +280,20 @@ class TestCompiledEstimator:
                 estimate_distances(bell, mixed, forms, shots=100, plan=partial)
 
 
+def plan_members(plan):
+    """Every prepared member in configuration order: the rows of the pattern and count stacks."""
+    return [m for conf in plan.configurations for m in conf.members]
+
+
 def padded_counts(plan, counts):
-    """Per-member counts as the zero-padded stack :func:`_sample_plan` returns."""
-    members = _plan_members(plan)
-    stack = np.zeros((len(members), max(2**m.n_edges for m in members.values())), dtype=np.int64)
-    for row, member in enumerate(members):
-        stack[row, : counts[member].size] = counts[member]
+    """Counts keyed by (configuration, member) index as the zero-padded stack :func:`_sample_plan` returns.
+
+    Rows run in configuration order, then member order within a configuration.
+    """
+    keys = [(ci, mi) for ci, conf in enumerate(plan.configurations) for mi in range(len(conf.members))]
+    stack = np.zeros((len(keys), max(c.size for c in counts.values())), dtype=np.int64)
+    for row, key in enumerate(keys):
+        stack[row, : counts[key].size] = counts[key]
     return stack
 
 
@@ -301,10 +307,10 @@ class TestGraphEstimates:
             for mi, m in enumerate(conf.members)
         }
         assert len({c.size for c in counts.values()}) > 1  # rows of several lengths, padded
-        hosts = _host_arrays(plan)
-        phat, cov = _graph_estimates(hosts, padded_counts(plan, counts), shots)
+        program = _plan_program(plan)
+        phat, cov = _graph_estimates(program, padded_counts(plan, counts), shots)
         ref_keys, ref_phat, ref_cov = reference_graph_estimates(plan, counts, shots)
-        assert hosts.keys == ref_keys
+        assert program.keys == ref_keys
         assert phat.tolist() == [ref_phat[key] for key in ref_keys]
         assert np.array_equal(cov, ref_cov)
 
@@ -334,7 +340,7 @@ def pattern_error(member, R1, R2):
 
 def reference_sample_plan(plan, R1, R2, shots, seed):
     """One contraction and one multinomial per member in plan order, counts zero-padded."""
-    members = list(_plan_members(plan).values())
+    members = plan_members(plan)
     seeds = np.random.SeedSequence(seed).spawn(len(members))
     counts = np.zeros((len(members), max(2**m.n_edges for m in members)), dtype=np.int64)
     for row, (member, s) in enumerate(zip(members, seeds)):
@@ -367,8 +373,8 @@ class TestStackedProgram:
         so rows may differ in their last bits; the floor leaves them the
         same zero entries.  The one-member case is bit for bit.
         """
-        program = _sampling_program(plan)
-        members = list(_plan_members(plan).values())
+        program = _plan_program(plan)
+        members = plan_members(plan)
         within = [m for m in members if m.n_edges == 1 and m.edges[0][0] // 2 == m.edges[0][1] // 2]
         assert len(within) == 2
         assert sorted(row for rows, _ in program.groups for row in rows) == list(range(len(members)))
@@ -411,7 +417,7 @@ class TestStackedProgram:
         numpy's multinomial draws a random number for every entry above 0
         ahead of the last one it needs, and none for an entry of 0.
         """
-        program = _sampling_program(plan)
+        program = _plan_program(plan)
         R1, R2 = to_correlation(basis_state(0)), to_correlation(bell_state(2))
         exact, counts = _plan_patterns(program, R1, R2), _sample_plan(program, R1, R2, 1000, 5)
         lifted = []
@@ -441,8 +447,8 @@ class TestStackedProgram:
 
     def test_non_physical_state_raises_from_a_stack(self, plan, forms):
         """A stack reports its first invalid row, wherever that row stands."""
-        program = _sampling_program(plan)
-        members = list(_plan_members(plan).values())
+        program = _plan_program(plan)
+        members = plan_members(plan)
         rho1, rho2 = np.diag([1.5, -0.5, 0.0, 0.0]), np.eye(4) / 4.0
         R1, R2 = to_correlation(rho1), to_correlation(rho2)
         behind_a_valid_row = 0
@@ -583,6 +589,7 @@ class TestBootstrap:
         assert t[3] == pytest.approx(1.0, abs=1e-15)  # eigenvalues 1, -1, 0, 0
 
     def test_one_root_solve_whatever_the_draw_count(self, forms, plan, bell, mixed, monkeypatch):
+        """The point estimate, all ``BOOTSTRAP_DRAWS`` draws and the formula share one eigensolve."""
         calls = []
 
         def counted(fn):
@@ -594,12 +601,7 @@ class TestBootstrap:
 
         monkeypatch.setattr(np, "roots", counted(np.roots))
         monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
-        per_estimate = []
-        for bootstrap in (50, 400):
-            calls.clear()
-            estimate_distances(bell, mixed, forms, shots=1000, seed=36, plan=plan, bootstrap=bootstrap)
-            per_estimate.append(len(calls))
-        assert per_estimate == [1, 1]
+        estimate_distances(bell, mixed, forms, shots=1000, seed=36, plan=plan)
         assert calls == ["eigvals"]
 
 
@@ -733,7 +735,7 @@ class TestEstimation:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"bootstrap": 1}, {"bootstrap": 0}, {"shots": 0}, {"threads": 0}, {"threads": 2}],
+        [{"shots": 0}, {"threads": 0}, {"threads": 2}],
     )
     def test_too_few_draws_or_shots_rejected(self, forms, plan, bell, mixed, kwargs):
         args = {"shots": 100, **kwargs}

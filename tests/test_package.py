@@ -100,3 +100,63 @@ def test_no_module_level_cache_dict():
             if empty or any("cache" in name.lower() for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _package_imports() -> dict[str, list[tuple[str, bool]]]:
+    """Per package module, the package modules it imports and whether each import sits in a function.
+
+    ``from . import x`` and ``from .x import y`` both count as importing
+    ``qoverlap.x``; ``from qoverlap import x`` likewise.
+    """
+    root = Path(qoverlap.__file__).resolve().parent
+    modules = {p.stem for p in root.glob("*.py")}
+    graph = {}
+    for path in sorted(root.glob("*.py")):
+        name = "qoverlap" if path.stem == "__init__" else f"qoverlap.{path.stem}"
+        tree = ast.parse(path.read_text())
+        in_function = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        edges = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["qoverlap", node.module])) if node.level else node.module or ""
+                submodules = [f"{base}.{a.name}" for a in node.names if base == "qoverlap" and a.name in modules]
+                targets = submodules or [base]
+            else:
+                continue
+            edges += [(t, id(node) in in_function) for t in targets if t.split(".")[0] == "qoverlap"]
+        graph[name] = edges
+    return graph
+
+
+def test_no_package_import_inside_a_function():
+    """Every module imports the package's modules at its top, so the import order is the module graph."""
+    inside = sorted((name, target) for name, edges in _package_imports().items() for target, nested in edges if nested)
+    assert not inside, inside
+
+
+def test_module_import_graph_has_no_cycle():
+    """The package's modules import one another in layers: no module reaches itself through its imports."""
+    graph = {name: {target for target, _ in edges} for name, edges in _package_imports().items()}
+    assert "qoverlap.interferometer" in graph["qoverlap.derive"]
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(f"import cycle: {' -> '.join(path[path.index(name):] + [name])}")
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph.get(name, ())):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
