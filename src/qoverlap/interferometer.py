@@ -11,9 +11,10 @@ contractions that carry an outcome axis per edge, one
 subscripts, stacked along a member axis.  Pattern entries at or below
 ``PATTERN_TOL`` are set to exactly 0, so rounding noise around a true 0,
 which differs with the summation order, never reaches the sampler.  It
-draws each member's patterns multinomially from its own stream, reads every
-sub-graph frequency and covariance off one superset sum of the zero-padded
-counts, and propagates shot noise through the distance formulas.
+draws every member's counts in one multinomial call over the zero-padded
+pattern stack, reads every sub-graph frequency and covariance off one
+superset sum of the counts, and propagates shot noise through the distance
+formulas.
 
 A "photon pair" is one two-qubit copy; hardware-level boson statistics
 are out of scope (the antibunching event is abstracted to the singlet
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import __version__, assemble, to_correlation
+from .core import __version__, assemble, swap_modes, to_correlation
 from .graphs import (
     ETA,
     MeasurementGraph,
@@ -68,21 +69,6 @@ class PlanError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _embed_two_mode(op: np.ndarray, n_modes: int, i: int, j: int) -> np.ndarray:
-    """Embed a two-mode operator onto modes (i, j) of an n-mode register."""
-    perm = [i, j] + [k for k in range(n_modes) if k not in (i, j)]
-    dim = 2**n_modes
-    U = np.zeros((dim, dim))
-    for src in range(dim):
-        bits = [(src >> (n_modes - 1 - k)) & 1 for k in range(n_modes)]
-        dst = 0
-        for p in range(n_modes):
-            dst = (dst << 1) | bits[perm[p]]
-        U[dst, src] = 1.0
-    full = np.kron(op, np.eye(2 ** (n_modes - 2)))
-    return U.T @ full @ U
-
-
 def graph_probability(
     graph: MeasurementGraph,
     rho1: np.ndarray,
@@ -106,7 +92,13 @@ def graph_probability(
     W = assemble({1: rho1, 2: rho2}, layout)
     M = np.eye(2**layout.n_modes, dtype=complex)
     for i, j in graph.edges:
-        M = M @ _embed_two_mode(P_MINUS, layout.n_modes, i, j)
+        # P- on modes (0, 1), carried to (0, j) and then to (i, j); edges have i < j
+        P = np.kron(P_MINUS, np.eye(2 ** (layout.n_modes - 2)))
+        if j != 1:
+            P = swap_modes(P, 1, j)
+        if i != 0:
+            P = swap_modes(P, 0, i)
+        M = M @ P
     val = complex(np.einsum("ij,ji->", W, M))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"graph probability has imaginary residue {val.imag:.3e}")
@@ -384,7 +376,7 @@ class _PlanProgram(NamedTuple):
     """How one estimate samples a plan's members and reads its graphs (see :func:`_plan_program`)."""
 
     groups: tuple          # (member rows, _PatternGroup) per stacked group
-    widths: tuple          # pattern length, 2**edges, per member row
+    shape: tuple           # (members, 2**max_edges): the zero-padded pattern and count stacks
     keys: list             # the plan's graph keys, in ``plan.graphs`` order
     at: np.ndarray         # graph -> flat (member row, edge bitmask) index
     pairs: tuple           # (first, second) graph of every pair on one member, self-pairs included
@@ -410,33 +402,28 @@ def _plan_program(plan: ConfigurationPlan) -> _PlanProgram:
     groups = tuple(
         (np.array(rows), _pattern_group(tuple(members[r] for r in rows))) for rows in by_subscripts.values()
     )
-    widths = tuple(2**m.n_edges for m in members)
+    shape = (len(members), 2 ** max(m.n_edges for m in members))
     keys = [g.key() for g in plan.graphs]
     hosts = [plan.hosts[key] for key in keys]
     rows = np.array([offsets[ci] + mi for ci, mi, _ in hosts])
     masks = np.array([sum(1 << k for k in emb) for _, _, emb in hosts])
-    at = rows * max(widths) + masks
+    at = rows * shape[1] + masks
     first, second = np.nonzero(rows[:, None] == rows[None, :])
-    return _PlanProgram(groups, widths, keys, at, (first, second), at[first] | masks[second])
+    return _PlanProgram(groups, shape, keys, at, (first, second), at[first] | masks[second])
 
 
 def _plan_patterns(program: _PlanProgram, R1, R2) -> np.ndarray:
     """Every member's pattern distribution, one zero-padded row per member."""
-    patterns = np.zeros((len(program.widths), max(program.widths)))
+    patterns = np.zeros(program.shape)
     Rs = np.stack([R1, R2])
     for rows, group in program.groups:
         patterns[rows, : 2**group.n_edges] = _group_patterns(group, Rs)
     return patterns
 
 
-def _sample_plan(program: _PlanProgram, R1, R2, shots, seed) -> np.ndarray:
-    """Multinomial pattern counts, one zero-padded row and one spawned stream per member, deterministic under seed."""
-    patterns = _plan_patterns(program, R1, R2)
-    counts = np.zeros(patterns.shape, dtype=np.int64)
-    seeds = np.random.SeedSequence(seed).spawn(len(program.widths))
-    for row, (s, width) in enumerate(zip(seeds, program.widths)):
-        counts[row, :width] = np.random.default_rng(s).multinomial(shots, patterns[row, :width])
-    return counts
+def _sample_plan(program: _PlanProgram, R1, R2, shots, rng) -> np.ndarray:
+    """Multinomial pattern counts of every member, one zero-padded row each, from one ``rng.multinomial`` call."""
+    return rng.multinomial(shots, _plan_patterns(program, R1, R2))
 
 
 def _graph_estimates(program: _PlanProgram, counts: np.ndarray, shots):
@@ -606,11 +593,12 @@ def estimate_distances(
     joint multinomial counts, and the trace-distance error from a
     parametric bootstrap over the moment estimates: ``BOOTSTRAP_DRAWS``
     normal draws.  Their quartics, the point estimate's and the
-    formula's are one :func:`characteristic_roots` call.  The
-    chain-inequality audit runs on the oracle values, where a violation
-    indicates a bug rather than shot noise.  Sampling runs on the calling
-    thread; ``threads`` is kept for callers that pass ``threads=1`` and
-    any other value raises :class:`ValueError`.
+    formula's are one :func:`characteristic_roots` call.  One
+    ``np.random.default_rng(seed)`` draws the counts, then the bootstrap.
+    The chain-inequality audit runs on the oracle values, where a
+    violation indicates a bug rather than shot noise.  Sampling runs on
+    the calling thread; ``threads`` is kept for callers that pass
+    ``threads=1`` and any other value raises :class:`ValueError`.
 
     What depends only on the plan and the forms is compiled once: the
     plan's program (:func:`_plan_program`) at its first estimate, and the
@@ -633,7 +621,8 @@ def estimate_distances(
     program, arrays = _compiled(plan, forms)
     R1, R2 = to_correlation(rho1), to_correlation(rho2)
 
-    counts = _sample_plan(program, R1, R2, shots, seed)
+    rng = np.random.default_rng(seed)
+    counts = _sample_plan(program, R1, R2, shots, rng)
     phat, cov = _graph_estimates(program, counts, shots)
     values, C = _stat_values(arrays, phat, cov)
     names = arrays.names
@@ -682,8 +671,7 @@ def estimate_distances(
     Cm = 0.5 * (Cm + Cm.T)
     evals, evecs = np.linalg.eigh(Cm)
     Cm = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-    brng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
-    draws = brng.multivariate_normal([pi2, pi3, pi4], Cm, size=BOOTSTRAP_DRAWS, method="eigh")
+    draws = rng.multivariate_normal([pi2, pi3, pi4], Cm, size=BOOTSTRAP_DRAWS, method="eigh")
     formula_moments = [pi2_oracle, stat_oracle["pi3"], stat_oracle["pi4"]]
     moment_rows = np.vstack([[pi2, pi3, pi4], draws, formula_moments])
     moment_rows[:-1, 0] = np.where(moment_rows[:-1, 0] < 0.0, 0.0, moment_rows[:-1, 0])

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation, trace_tensor
+from .core import PAULI, guarded_sqrt, mode_swap_unitary, to_correlation, trace_tensor, validate_density
 
 __all__ = [
     "Arithmetic",
@@ -349,12 +349,14 @@ def moments_from_overlaps(o: OverlapSet) -> MomentSet:
 
 
 def moments(rho1: np.ndarray, rho2: np.ndarray) -> MomentSet:
-    """Moments of ``rho1 - rho2`` from the overlap expansion.
+    """Moments of ``rho1 - rho2`` from the overlap expansion of two density matrices.
 
-    Every moment is recomputed by direct matrix products (its entry in
-    :data:`TARGETS`) and the two routes must agree to 1e-10.
+    Both must pass :func:`~qoverlap.core.validate_density`.  Every moment is
+    recomputed by direct matrix products (its entry in :data:`TARGETS`) and
+    the two routes must agree to 1e-10.
     """
-    m = moments_from_overlaps(overlap_set(rho1, rho2))
+    rho1, rho2 = validate_density(rho1, name="rho1"), validate_density(rho2, name="rho2")
+    m = moments_from_overlaps(overlap_set(to_correlation(rho1), to_correlation(rho2)))
     direct = (TARGETS[name](rho1, rho2) for name in ("pi2", "pi3", "pi4"))
     worst = max(abs(v - d) for v, d in zip((m.pi2, m.pi3, m.pi4), direct))
     if worst > 1e-10:

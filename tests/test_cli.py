@@ -80,6 +80,13 @@ class TestDistance:
         assert cli.main(["distance", str(bad), BELL]) == 1
         assert "eigenvalue" in capsys.readouterr().err
 
+    def test_failed_oracle_audit_exits_one(self, monkeypatch, capsys):
+        """A chain violation in the oracle's distances is printed and fails the command."""
+        spectral = cli.distance_set
+        monkeypatch.setattr(cli, "distance_set", lambda *a: dataclasses.replace(spectral(*a), subfidelity=2.0))
+        assert cli.main(["distance", BELL, MIXED]) == 1
+        assert "\naudit: VIOLATED: E <= F\n" in capsys.readouterr().out
+
     def test_missing_argument_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["distance", BELL])
@@ -330,6 +337,11 @@ class TestSweep:
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
         assert cli.main(["sweep", "--shots", "10,-4"]) == 1
         assert "positive" in capsys.readouterr().err
+
+    def test_non_integer_shots_rejected(self, forms, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)
+        assert cli.main(["sweep", "--shots", "10,x"]) == 1
+        assert "--shots must be comma-separated integers" in capsys.readouterr().err
 
     def test_bad_pairs_validation(self, forms, monkeypatch):
         monkeypatch.setattr(cli, "measurement_forms", lambda **kw: forms)

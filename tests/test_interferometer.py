@@ -338,15 +338,18 @@ def pattern_error(member, R1, R2):
     return None
 
 
-def reference_sample_plan(plan, R1, R2, shots, seed):
-    """One contraction and one multinomial per member in plan order, counts zero-padded."""
+def reference_sample_plan(plan, R1, R2, shots, rng):
+    """One contraction and one multinomial per member in plan order, each over its zero-padded row, from one generator.
+
+    The rows must be padded: over an unpadded row numpy's last entry takes
+    the remainder without a draw, so the generator's sequence would differ.
+    """
     members = plan_members(plan)
-    seeds = np.random.SeedSequence(seed).spawn(len(members))
     counts = np.zeros((len(members), max(2**m.n_edges for m in members)), dtype=np.int64)
-    for row, (member, s) in enumerate(zip(members, seeds)):
-        counts[row, : 2**member.n_edges] = np.random.default_rng(s).multinomial(
-            shots, einsum_pattern(member, R1, R2)
-        )
+    for row, member in enumerate(members):
+        pattern = np.zeros(counts.shape[1])
+        pattern[: 2**member.n_edges] = einsum_pattern(member, R1, R2)
+        counts[row] = rng.multinomial(shots, pattern)
     return counts
 
 
@@ -412,14 +415,16 @@ class TestStackedProgram:
 
     @pytest.mark.parametrize("tiny", [1e-17, PATTERN_TOL / 2])
     def test_entry_within_the_tolerance_gets_no_counts_and_no_draw(self, plan, tiny, monkeypatch):
-        """An entry in (0, PATTERN_TOL] reads exactly 0, so the member's stream is that of a true 0.
+        """An entry in (0, PATTERN_TOL] reads exactly 0, so the generator's stream is that of a true 0.
 
         numpy's multinomial draws a random number for every entry above 0
         ahead of the last one it needs, and none for an entry of 0.
         """
         program = _plan_program(plan)
         R1, R2 = to_correlation(basis_state(0)), to_correlation(bell_state(2))
-        exact, counts = _plan_patterns(program, R1, R2), _sample_plan(program, R1, R2, 1000, 5)
+        exact = _plan_patterns(program, R1, R2)
+        counts = _sample_plan(program, R1, R2, 1000, np.random.default_rng(5))
+        assert not any(counts[row, 2**m.n_edges :].any() for row, m in enumerate(plan_members(plan)))
         lifted = []
 
         def lift(spec, *operands):
@@ -435,7 +440,7 @@ class TestStackedProgram:
 
         monkeypatch.setattr(interferometer, "contract", lift)
         assert np.array_equal(_plan_patterns(program, R1, R2), exact)
-        assert np.array_equal(_sample_plan(program, R1, R2, 1000, 5), counts)
+        assert np.array_equal(_sample_plan(program, R1, R2, 1000, np.random.default_rng(5)), counts)
         assert len(lifted) > 1
         pattern, k = lifted[0]
         draws = []
@@ -737,7 +742,7 @@ class TestEstimation:
         "kwargs",
         [{"shots": 0}, {"threads": 0}, {"threads": 2}],
     )
-    def test_too_few_draws_or_shots_rejected(self, forms, plan, bell, mixed, kwargs):
+    def test_bad_shots_or_threads_rejected(self, forms, plan, bell, mixed, kwargs):
         args = {"shots": 100, **kwargs}
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             estimate_distances(bell, mixed, forms, plan=plan, **args)

@@ -185,6 +185,19 @@ class TestMoments:
         assert m.pi3 == 0.0
         assert m.pi4 == 0.0
 
+    def test_basis_state_is_read_as_a_density_matrix(self):
+        """|00><00| is real with a unit corner entry, the shape of a correlation matrix, and is still a state.
+
+        The difference from the maximally mixed state has eigenvalues 3/4 and -1/4 (three times).
+        """
+        m = moments(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4) / 4.0)
+        assert (m.pi2, m.pi3, m.pi4) == pytest.approx((0.75, 0.375, 0.328125), abs=1e-15)
+
+    def test_correlation_matrices_rejected(self):
+        a, b = next(pairs(1, 1))
+        with pytest.raises(ValueError, match="rho1 is not Hermitian"):
+            moments(to_correlation(a), to_correlation(b))
+
     def test_moment_signs_detect_ordering(self):
         # swapping the states flips pi3 and preserves pi2, pi4
         a, b = next(pairs(1, 12))
