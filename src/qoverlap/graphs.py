@@ -7,8 +7,9 @@ This module enumerates graphs, reduces them to canonical classes under
 copy exchange, and evaluates their probabilities — fast (vectorized
 correlation contractions) and exactly (rational arithmetic), plus the
 combinatorial counts behind the class bookkeeping.  Its :func:`contract`
-is the package's one contraction engine: every planned einsum, here and
-in the interferometer module's patterns, runs through it.
+is the package's one contraction engine: every planned einsum of the
+graph probabilities runs through it.  The interferometer's joint outcome
+patterns need none; they are ring products of 4x4 matrices.
 """
 from __future__ import annotations
 

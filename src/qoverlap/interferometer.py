@@ -4,17 +4,17 @@ A measurement graph is realized by preparing its copies and jointly
 measuring the two-outcome observable {P-, 1-P-} on every edge; the
 all-singlet coincidence frequency estimates the graph probability.  One
 prepared configuration member yields the joint outcome pattern of all its
-edges, so every sub-graph statistic comes out of the same counts.  The
-simulation computes the members' exact pattern distributions with
-contractions that carry an outcome axis per edge, one
-:func:`~qoverlap.graphs.contract` per group of members sharing their
-subscripts, stacked along a member axis.  Pattern entries at or below
-``PATTERN_TOL`` are set to exactly 0, so rounding noise around a true 0,
-which differs with the summation order, never reaches the sampler.  It
-draws every member's counts in one multinomial call over the zero-padded
-pattern stack, reads every sub-graph frequency and covariance off one
-superset sum of the counts, and propagates shot noise through the distance
-formulas.
+edges, so every sub-graph statistic comes out of the same counts.  Each
+connected component of a member is a ring or a path over its copies, so
+its pattern is a trace of a short product of 4x4 correlation matrices and
+outcome weights; the simulation computes every member's ring products as
+one batched ``matmul`` chain, padded to the longest ring.  Pattern entries
+at or below ``PATTERN_TOL`` are set to exactly 0, so rounding noise around
+a true 0, which differs with the summation order, never reaches the
+sampler.  It draws every member's counts in one multinomial call over the
+zero-padded pattern stack, reads every sub-graph frequency and covariance
+off one superset sum of the counts, and propagates shot noise through the
+distance formulas.
 
 A "photon pair" is one two-qubit copy; hardware-level boson statistics
 are out of scope (the antibunching event is abstracted to the singlet
@@ -30,14 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import __version__, assemble, swap_modes, to_correlation
-from .graphs import (
-    ETA,
-    MeasurementGraph,
-    _copy_operands,
-    _einsum_recipe,
-    contract,
-    probability_batch,
-)
+from .graphs import ETA, MeasurementGraph, probability_batch
 from .oracle import distance_set
 from .overlaps import P_MINUS, TARGETS, characteristic_roots
 
@@ -99,7 +92,7 @@ def graph_probability(
         if i != 0:
             P = swap_modes(P, 0, i)
         M = M @ P
-    val = complex(np.einsum("ij,ji->", W, M))
+    val = complex(np.sum(W * M.T))  # Tr(W M)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"graph probability has imaginary residue {val.imag:.3e}")
     return float(val.real)
@@ -108,21 +101,6 @@ def graph_probability(
 #: Edge factor per outcome, row 0 "not antibunched", row 1 "antibunched":
 #: ``1 - P^- = (1/4) sum_i (4 delta_i0 - ETA[i]) sigma_i x sigma_i``.
 _OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
-
-
-@lru_cache(maxsize=None)
-def _pattern_contraction(graph: MeasurementGraph) -> tuple[str, tuple]:
-    """Subscripts and copy plan of a graph's pattern contraction.
-
-    :func:`_einsum_recipe`'s subscripts with an outcome axis added to
-    every edge factor; the outputs list edge E-1 first, so the flattened
-    result is indexed by edge bitmask.
-    """
-    spec, copy_plan = _einsum_recipe(graph)
-    subs = spec.split("->")[0].split(",")
-    outcomes = "ABCDEFGH"[: graph.n_edges]
-    terms = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])] + subs[graph.n_edges :]
-    return ",".join(terms) + "->s" + outcomes[::-1], copy_plan
 
 
 def _superset_sums(v: np.ndarray) -> np.ndarray:
@@ -136,51 +114,140 @@ def _superset_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PatternGroup(NamedTuple):
-    """Members sharing their pattern contraction, contracted as one stack (see :func:`_pattern_group`)."""
+#: Link weights per outcome, ``diag(w[outcome]) @ M`` in a ring product: an
+#: edge's ``_OUTCOME_ETA / 4``, a path's closing link through index 0, and a
+#: padding slot that reads 1 for outcome 0 and 0 for outcome 1.  A ring slot
+#: is ``5 * link + matrix``, its row of the table of ``diag(w) @ M`` over
+#: these links and the matrices ``[R1, R1.T, R2, R2.T, I]`` (:func:`_ring_products`).
+_LINK_WEIGHTS = np.stack([_OUTCOME_ETA / 4.0, [[1.0, 0, 0, 0], [0, 0, 0, 0]], [[1.0] * 4, [0] * 4]])
+_EDGE, _VIRTUAL, _PAD = 0, 5, 10
+_IDENTITY = 4
 
-    spec: str            # the members' pattern subscripts
-    n_edges: int
-    copy_plan: tuple     # (copy position + 1, slice kind) per copy
-    states: np.ndarray   # (copy, member) -> state index 0 or 1
+
+class _Chain(NamedTuple):
+    """A graph's pattern as ring products (see :func:`_pattern_chain`)."""
+
+    rings: tuple        # per component, its slots' table indices in walk order
+    local: np.ndarray   # (component, 2**edges) ring-outcome index of each edge bitmask
 
 
 @lru_cache(maxsize=None)
-def _pattern_group(members: tuple[MeasurementGraph, ...]) -> _PatternGroup:
-    """The stacked pattern contraction of members with equal subscripts and copy slices.
+def _pattern_chain(graph: MeasurementGraph) -> _Chain:
+    """The graph's components as rings of (link, copy) slots, compiled once per graph.
 
-    Copy ``c`` of every member is read from the stack of both states'
-    matrices through the member's state selector ``states[c]``, and the
-    batch index ``s`` runs over the stack.
+    Every mode lies on at most one edge, so a component is a ring or a
+    path over its copies.  Its pattern entry for edge outcomes A is
+    Tr(D_{A_1} M_1 D_{A_2} M_2 ...): a walk enters each copy through one
+    mode and leaves through the other, ``M`` is the copy's R entered at
+    its ``a`` mode and R.T entered at ``b``, and ``D`` weighs the link it
+    entered by (:data:`_LINK_WEIGHTS`).  A path starts at a free mode and
+    closes through a virtual link fixed at index 0; a within-copy edge is
+    a ring of one.  Slot k's outcome is bit k of the ring's output index,
+    which ``local`` reads for every edge bitmask.
     """
-    spec, copy_plan = _pattern_contraction(members[0])
-    states = np.array([[sid - 1 for sid, _ in _pattern_contraction(m)[1]] for m in members]).T
-    kinds = tuple((c + 1, kind) for c, (_, kind) in enumerate(copy_plan))
-    return _PatternGroup(spec, members[0].n_edges, kinds, states)
+    partner, edge = {}, {}
+    for k, (i, j) in enumerate(graph.edges):
+        partner[i], partner[j], edge[i], edge[j] = j, i, k, k
+    copies = sorted({m // 2 for m in partner})
+    # paths start at a free mode, so every path is walked whole before the rings
+    starts = [2 * c + (2 * c in partner) for c in copies if 2 * c not in partner or 2 * c + 1 not in partner]
+    rings, links, seen = [], [], set()
+    for start in starts + [2 * c for c in copies]:
+        if start // 2 in seen:
+            continue
+        slots, ring_links = [], []
+        mode, link = start, edge.get(start, -1)
+        while True:
+            seen.add(mode // 2)
+            slots.append((_EDGE if link >= 0 else _VIRTUAL) + 2 * graph.layout.copies[mode // 2] - 2 + mode % 2)
+            ring_links.append(link)
+            out = mode ^ 1
+            if out not in partner or partner[out] == start:
+                break
+            mode, link = partner[out], edge[out]
+        rings.append(tuple(slots))
+        links.append(ring_links)
+    masks = np.arange(2**graph.n_edges)
+    local = np.array([sum(((masks >> k) & 1) << s for s, k in enumerate(ks) if k >= 0) for ks in links])
+    return _Chain(tuple(rings), local)
 
 
-def _group_patterns(group: _PatternGroup, Rs: np.ndarray) -> np.ndarray:
-    """Pattern rows of a group's members for the states ``Rs = [R1, R2]``, each row checked.
+class _ChainStack(NamedTuple):
+    """Ring products of a stack of graphs, one pattern row per graph (see :func:`_stack_chains`)."""
 
-    One :func:`~qoverlap.graphs.contract` over the stack, planned on its
-    stacked shapes.  A row more negative than ``PATTERN_TOL`` or off unit
-    sum by more than it raises :class:`ValueError`.  Entries at or below
-    ``PATTERN_TOL`` are then set to exactly 0 and rows normalized, so an
-    entry that is 0 in exact arithmetic reads 0 whatever the summation
-    order left of it: the multinomial draws no random number for it.
+    slots: np.ndarray    # (ring, slot) table index, rings padded to the longest
+    gather: np.ndarray   # (graph, component, 2**max_edges) index into the ring outputs, then 0.0 and 1.0
+    widths: np.ndarray   # 2**edges per graph
+
+
+def _stack_chains(graphs) -> _ChainStack:
+    """The graphs' :func:`_pattern_chain` rings as one batch, padded to the longest ring.
+
+    A padding slot carries I and reads 0 for outcome 1, so a padded
+    ring's first ``2**slots`` outputs are its own.  A graph gathers one
+    output per component and takes their product: a component it lacks
+    reads 1.0, and an edge bitmask beyond its edges reads 0.0.
     """
-    operands = [_OUTCOME_ETA] * group.n_edges + _copy_operands(group.copy_plan, *Rs[group.states])
-    patterns = contract(group.spec, *operands).reshape(group.states.shape[1], -1) / 4.0**group.n_edges
+    chains = [_pattern_chain(g) for g in graphs]
+    rings = [ring for chain in chains for ring in chain.rings]
+    length = max(map(len, rings))
+    slots = np.array([ring + (_PAD + _IDENTITY,) * (length - len(ring)) for ring in rings])
+    zero = len(rings) << length
+    widths = np.array([2**g.n_edges for g in graphs])
+    gather = np.full((len(graphs), max(len(c.rings) for c in chains), widths.max()), zero + 1)
+    first = 0
+    for row, (chain, width) in enumerate(zip(chains, widths)):
+        n = len(chain.rings)
+        gather[row, :n, :width] = chain.local + (np.arange(first, first + n)[:, None] << length)
+        gather[row, :, width:] = zero
+        first += n
+    return _ChainStack(slots, gather, widths)
+
+
+def _ring_products(chain: _ChainStack, R1, R2) -> np.ndarray:
+    """The stack's pattern rows as computed, before any check: ``(graphs, 2**max_edges)``.
+
+    One table of ``diag(w) @ M`` per link kind, matrix and outcome, read
+    at every ring's slots; each further slot is one batched ``matmul``
+    whose outcome becomes the new leading bit of the ring's output index;
+    then one trace and one gather.
+    """
+    table = _LINK_WEIGHTS[:, None, :, :, None] * np.stack([R1, R1.T, R2, R2.T, np.eye(4)])[:, None]
+    W = table.reshape(-1, 2, 4, 4)[chain.slots]
+    P = W[:, 0]
+    for k in range(1, W.shape[1]):
+        P = (P[:, None] @ W[:, k, :, None]).reshape(len(W), -1, 4, 4)
+    flat = P.reshape(-1, 16)  # a 4x4 product's diagonal is its flat entries 0, 5, 10 and 15
+    traces = flat[:, 0] + flat[:, 5] + flat[:, 10] + flat[:, 15]
+    return np.append(traces, (0.0, 1.0))[chain.gather].prod(axis=1)
+
+
+def _chain_patterns(chain: _ChainStack, R1, R2) -> np.ndarray:
+    """Every stacked graph's pattern distribution, one zero-padded row each, checked.
+
+    The first row in stack order more negative than ``PATTERN_TOL`` or
+    off unit sum by more than it raises :class:`ValueError`.  Entries at
+    or below ``PATTERN_TOL`` are then set to exactly 0 and rows
+    normalized, so an entry that is 0 in exact arithmetic reads 0
+    whatever the summation order left of it: the multinomial draws no
+    random number for it.
+    """
+    patterns = _ring_products(chain, R1, R2)
     low, total = patterns.min(axis=1), patterns.sum(axis=1)
     bad = np.flatnonzero((low < -PATTERN_TOL) | (np.abs(total - 1.0) > PATTERN_TOL))
     if bad.size:
         k = bad[0]
         raise ValueError(
-            f"joint pattern distribution invalid: min {low[k]:.3e}, "
+            f"joint pattern distribution invalid: min {patterns[k, : chain.widths[k]].min():.3e}, "
             f"sum {total[k]:.12f}"
         )
     patterns[patterns <= PATTERN_TOL] = 0.0
-    patterns /= patterns.sum(axis=1, keepdims=True)
+    # summed by halving, so a row's zero padding adds exact zeros: it normalizes as it would alone
+    total = patterns
+    while total.shape[1] > 1:
+        half = total.shape[1] // 2
+        total = total[:, :half] + total[:, half:]
+    patterns /= total
     return patterns
 
 
@@ -189,11 +256,11 @@ def pattern_distribution(graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray
 
     Returns the pattern probabilities indexed by edge bitmask:
     ``pattern[m]`` is the probability that exactly the edges in ``m``
-    antibunch, one contraction over the graph's copies, checked and
-    floored as a stack of one (:func:`_group_patterns`).  The probability
-    that at least they do is its superset sum, :func:`_superset_sums`.
+    antibunch, the graph's ring products checked and floored as a stack
+    of one (:func:`_chain_patterns`).  The probability that at least
+    they do is its superset sum, :func:`_superset_sums`.
     """
-    return _group_patterns(_pattern_group((graph,)), np.stack([R1, R2]))[0]
+    return _chain_patterns(_stack_chains((graph,)), R1, R2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +442,7 @@ STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 class _PlanProgram(NamedTuple):
     """How one estimate samples a plan's members and reads its graphs (see :func:`_plan_program`)."""
 
-    groups: tuple          # (member rows, _PatternGroup) per stacked group
-    shape: tuple           # (members, 2**max_edges): the zero-padded pattern and count stacks
+    chain: _ChainStack     # every member's ring products, one zero-padded pattern row each
     keys: list             # the plan's graph keys, in ``plan.graphs`` order
     at: np.ndarray         # graph -> flat (member row, edge bitmask) index
     pairs: tuple           # (first, second) graph of every pair on one member, self-pairs included
@@ -384,46 +450,29 @@ class _PlanProgram(NamedTuple):
 
 
 def _plan_program(plan: ConfigurationPlan) -> _PlanProgram:
-    """The plan's members, one row each, grouped for stacked contraction, and where its graphs are read.
+    """The plan's members, one row each, stacked for their ring products, and where its graphs are read.
 
     Rows run in configuration order: a member's row is its
     configuration's offset in the cumulative member counts plus its index
-    within the configuration.  Members sharing pattern subscripts and
-    copy slices form one stacked contraction group.  The flat indices
-    address rows of ``2**max_edges`` entries, so a row's index bits never
-    meet an edge bitmask.
+    within the configuration.  The flat indices address rows of
+    ``2**max_edges`` entries, so a row's index bits never meet an edge
+    bitmask.
     """
     members = [m for conf in plan.configurations for m in conf.members]
     offsets = np.cumsum([0] + [len(conf.members) for conf in plan.configurations])
-    by_subscripts: dict[tuple, list[int]] = {}
-    for row, member in enumerate(members):
-        spec, copy_plan = _pattern_contraction(member)
-        by_subscripts.setdefault((spec, tuple(kind for _, kind in copy_plan)), []).append(row)
-    groups = tuple(
-        (np.array(rows), _pattern_group(tuple(members[r] for r in rows))) for rows in by_subscripts.values()
-    )
-    shape = (len(members), 2 ** max(m.n_edges for m in members))
+    chain = _stack_chains(members)
     keys = [g.key() for g in plan.graphs]
     hosts = [plan.hosts[key] for key in keys]
     rows = np.array([offsets[ci] + mi for ci, mi, _ in hosts])
     masks = np.array([sum(1 << k for k in emb) for _, _, emb in hosts])
-    at = rows * shape[1] + masks
+    at = rows * chain.gather.shape[2] + masks
     first, second = np.nonzero(rows[:, None] == rows[None, :])
-    return _PlanProgram(groups, shape, keys, at, (first, second), at[first] | masks[second])
-
-
-def _plan_patterns(program: _PlanProgram, R1, R2) -> np.ndarray:
-    """Every member's pattern distribution, one zero-padded row per member."""
-    patterns = np.zeros(program.shape)
-    Rs = np.stack([R1, R2])
-    for rows, group in program.groups:
-        patterns[rows, : 2**group.n_edges] = _group_patterns(group, Rs)
-    return patterns
+    return _PlanProgram(chain, keys, at, (first, second), at[first] | masks[second])
 
 
 def _sample_plan(program: _PlanProgram, R1, R2, shots, rng) -> np.ndarray:
     """Multinomial pattern counts of every member, one zero-padded row each, from one ``rng.multinomial`` call."""
-    return rng.multinomial(shots, _plan_patterns(program, R1, R2))
+    return rng.multinomial(shots, _chain_patterns(program.chain, R1, R2))
 
 
 def _graph_estimates(program: _PlanProgram, counts: np.ndarray, shots):

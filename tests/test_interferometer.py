@@ -7,20 +7,28 @@ import pytest
 from qoverlap import interferometer
 from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import _symbolic_support, build_basis
-from qoverlap.graphs import MeasurementGraph, _contraction_steps, _copy_operands, contract, probability_batch
+from qoverlap.graphs import (
+    MeasurementGraph,
+    _contraction_steps,
+    _copy_operands,
+    _einsum_recipe,
+    connected_components,
+    contract,
+    enumerate_classes,
+    probability_batch,
+)
 from qoverlap.interferometer import (
     PATTERN_TOL,
     STAT_NAMES,
     PlanError,
     _OUTCOME_ETA,
     _canonical_key,
+    _chain_patterns,
     _form_arrays,
     _graph_estimates,
-    _group_patterns,
-    _pattern_contraction,
-    _plan_patterns,
     _plan_program,
     _sample_plan,
+    _stack_chains,
     _stat_values,
     _superset_sums,
     estimate_distances,
@@ -36,6 +44,20 @@ from qoverlap.overlaps import characteristic_roots, moments
 def pair():
     rng = np.random.default_rng(0)
     return random_state(4, seed=rng), random_state(4, seed=rng)
+
+
+def pattern_contraction(graph):
+    """Subscripts and copy plan of a graph's pattern as one einsum, the reference the ring chain is checked against.
+
+    :func:`_einsum_recipe`'s subscripts with an outcome axis added to
+    every edge factor; the outputs list edge E-1 first, so the flattened
+    result is indexed by edge bitmask.
+    """
+    spec, copy_plan = _einsum_recipe(graph)
+    subs = spec.split("->")[0].split(",")
+    outcomes = "ABCDEFGH"[: graph.n_edges]
+    terms = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])] + subs[graph.n_edges :]
+    return ",".join(terms) + "->s" + outcomes[::-1], copy_plan
 
 
 def pi2_graphs():
@@ -141,6 +163,49 @@ class TestPatternDistribution:
         assert subset[-1] == pytest.approx(graph_probability(g, *pair), abs=1e-11)
 
 
+def wide_graph(copies, edges):
+    """A graph on more copies than :class:`ModeLayout` admits, built past its check for the pattern kernels alone."""
+    layout = object.__new__(ModeLayout)
+    object.__setattr__(layout, "copies", copies)
+    return MeasurementGraph._unchecked(layout, tuple(sorted(edges)))
+
+
+def chain_graphs():
+    """Every connected class on at most four copies, a disconnected graph, a six-copy ring and a five-copy path."""
+    return [
+        *enumerate_classes(4),
+        MeasurementGraph(ModeLayout((1, 2, 1, 2)), [(0, 2), (1, 3), (4, 6)]),
+        wide_graph((1, 2, 1, 2, 1, 2), [(0, 2), (1, 11), (3, 5), (4, 6), (7, 9), (8, 10)]),
+        wide_graph((1, 1, 2, 2, 2), [(1, 2), (3, 5), (4, 6), (7, 8)]),
+    ]
+
+
+class TestRingChain:
+    def test_the_graphs_cover_every_component_shape(self):
+        """Paths and rings (a within-copy loop is a ring of one) of every length up to six, and two components."""
+        shapes, components = set(), set()
+        for g in chain_graphs():
+            comps = connected_components(g.layout, g.edges)
+            components.add(len(comps))
+            for comp in comps:
+                n_edges = sum(i // 2 in comp for i, _ in g.edges)
+                shapes.add(("ring" if n_edges == len(comp) else "path", len(comp)))
+        assert {("ring", n) for n in (1, 2, 3, 4, 6)} | {("path", n) for n in (2, 3, 4, 5)} <= shapes
+        assert components == {1, 2}
+
+    @pytest.mark.parametrize("family", ["ginibre", "pure", "rank-2", "equal", "basis", "bell"])
+    def test_every_graph_equals_its_einsum_reference(self, family):
+        """To 1e-15 with the same zeros, each graph contracted on its own by ``np.einsum``."""
+        for rho1, rho2 in family_pairs(family):
+            R1, R2 = to_correlation(rho1), to_correlation(rho2)
+            for g in chain_graphs():
+                want = einsum_pattern(g, R1, R2)
+                got = pattern_distribution(g, R1, R2)
+                assert got.shape == want.shape, (family, str(g))
+                assert np.abs(got - want).max() <= 1e-15, (family, str(g))
+                assert np.array_equal(got == 0.0, want == 0.0), (family, str(g))
+
+
 def basis_state(k):
     rho = np.zeros((4, 4), dtype=complex)
     rho[k, k] = 1.0
@@ -189,7 +254,7 @@ class TestContractionReplay:
         R1, R2 = (to_correlation(rho)[None] for rho in replay_pairs()[pair])
         members = {m.key(): m for p in [plan, *claim_plans(fits)] for c in p.configurations for m in c.members}
         for member in members.values():
-            spec, copy_plan = _pattern_contraction(member)
+            spec, copy_plan = pattern_contraction(member)
             operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1, R2)
             want = np.einsum(spec, *operands, optimize="greedy")
             got = contract(spec, *operands)
@@ -199,7 +264,7 @@ class TestContractionReplay:
         R = np.zeros((1, 4, 4))
         arities = set()
         for m in {m for c in plan.configurations for m in c.members}:
-            spec, copy_plan = _pattern_contraction(m)
+            spec, copy_plan = pattern_contraction(m)
             shapes = tuple(op.shape for op in [_OUTCOME_ETA] * m.n_edges + _copy_operands(copy_plan, R, R))
             arities |= {len(inds) for inds, _ in _contraction_steps(spec, shapes)}
         assert 2 in arities and max(arities) > 2
@@ -317,7 +382,7 @@ class TestGraphEstimates:
 
 def einsum_pattern(member, R1, R2):
     """One member's pattern, planned by ``np.einsum`` on its own, then checked, floored and normalized."""
-    spec, copy_plan = _pattern_contraction(member)
+    spec, copy_plan = pattern_contraction(member)
     operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
     pattern = np.einsum(spec, *operands, optimize="greedy").reshape(-1) / 4.0**member.n_edges
     if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
@@ -372,26 +437,27 @@ class TestStackedProgram:
     def test_every_row_equals_its_members_own_contraction(self, plan, family):
         """To 1e-15 with the same zeros, the one-edge within-copy members included.
 
-        A stack sums in another order than its members' own contractions,
+        The ring chain sums in another order than a member's own einsum,
         so rows may differ in their last bits; the floor leaves them the
-        same zero entries.  The one-member case is bit for bit.
+        same zero entries.  A member's one-member stack
+        (:func:`pattern_distribution`) gives its row of the plan's stack
+        bit for bit: padding slots multiply by I, and the normalizing sum
+        adds the padded zeros exactly.
         """
         program = _plan_program(plan)
         members = plan_members(plan)
         within = [m for m in members if m.n_edges == 1 and m.edges[0][0] // 2 == m.edges[0][1] // 2]
         assert len(within) == 2
-        assert sorted(row for rows, _ in program.groups for row in rows) == list(range(len(members)))
-        assert max(len(rows) for rows, _ in program.groups) > 1
         for rho1, rho2 in family_pairs(family):
             R1, R2 = to_correlation(rho1), to_correlation(rho2)
-            patterns = _plan_patterns(program, R1, R2)
+            patterns = _chain_patterns(program.chain, R1, R2)
             for row, member in enumerate(members):
                 width = 2**member.n_edges
                 want = einsum_pattern(member, R1, R2)
                 got = patterns[row, :width]
                 assert np.abs(got - want).max() <= 1e-15, (family, str(member))
                 assert np.array_equal(got == 0.0, want == 0.0), (family, str(member))
-                assert np.array_equal(pattern_distribution(member, R1, R2), want), (family, str(member))
+                assert np.array_equal(pattern_distribution(member, R1, R2), got), (family, str(member))
                 assert not patterns[row, width:].any()
 
     @pytest.mark.parametrize("ensemble", ["ginibre", "pure", "equal", "rank-2", "basis", "bell"])
@@ -422,24 +488,24 @@ class TestStackedProgram:
         """
         program = _plan_program(plan)
         R1, R2 = to_correlation(basis_state(0)), to_correlation(bell_state(2))
-        exact = _plan_patterns(program, R1, R2)
+        exact = _chain_patterns(program.chain, R1, R2)
         counts = _sample_plan(program, R1, R2, 1000, np.random.default_rng(5))
         assert not any(counts[row, 2**m.n_edges :].any() for row, m in enumerate(plan_members(plan)))
         lifted = []
+        ring_products = interferometer._ring_products
 
-        def lift(spec, *operands):
-            """The contraction, each member's first zero ahead of its last nonzero entry lifted to ``tiny``."""
-            raw = contract(spec, *operands)
-            rows = raw.reshape(len(raw), -1).copy()
+        def lift(*args):
+            """The ring products, each member's first zero ahead of its last nonzero entry lifted to ``tiny``."""
+            rows = ring_products(*args)
             for row in rows:
                 zeros = np.flatnonzero(row[: np.flatnonzero(row)[-1]] == 0.0)
                 if zeros.size:
-                    lifted.append((row / row.size**2, zeros[0]))
-                    row[zeros[0]] = tiny * row.size**2  # 4**edges times the pattern entry
-            return rows.reshape(raw.shape)
+                    lifted.append((row.copy(), zeros[0]))
+                    row[zeros[0]] = tiny
+            return rows
 
-        monkeypatch.setattr(interferometer, "contract", lift)
-        assert np.array_equal(_plan_patterns(program, R1, R2), exact)
+        monkeypatch.setattr(interferometer, "_ring_products", lift)
+        assert np.array_equal(_chain_patterns(program.chain, R1, R2), exact)
         assert np.array_equal(_sample_plan(program, R1, R2, 1000, np.random.default_rng(5)), counts)
         assert len(lifted) > 1
         pattern, k = lifted[0]
@@ -451,22 +517,21 @@ class TestStackedProgram:
         assert draws[0] != draws[1]
 
     def test_non_physical_state_raises_from_a_stack(self, plan, forms):
-        """A stack reports its first invalid row, wherever that row stands."""
-        program = _plan_program(plan)
+        """A stack reports its first invalid row in member order, wherever that row stands."""
         members = plan_members(plan)
         rho1, rho2 = np.diag([1.5, -0.5, 0.0, 0.0]), np.eye(4) / 4.0
         R1, R2 = to_correlation(rho1), to_correlation(rho2)
-        behind_a_valid_row = 0
-        for rows, group in program.groups:
-            errors = [pattern_error(members[row], R1, R2) for row in rows]
-            invalid = [e for e in errors if e is not None]
-            if not invalid:
-                continue
+        error = {member.key(): pattern_error(member, R1, R2) for member in members}
+        assert error[members[0].key()] is None  # the plan's first invalid row stands behind a valid row
+        for chain, order in ((_plan_program(plan).chain, members), (_stack_chains(members[::-1]), members[::-1])):
             with pytest.raises(ValueError) as err:
-                _group_patterns(group, np.stack([R1, R2]))
-            assert str(err.value) == invalid[0]
-            behind_a_valid_row += errors[0] is None
-        assert behind_a_valid_row
+                _chain_patterns(chain, R1, R2)
+            assert str(err.value) == next(error[m.key()] for m in order if error[m.key()] is not None)
+        for member in members:
+            if error[member.key()] is not None:
+                with pytest.raises(ValueError) as err:
+                    pattern_distribution(member, R1, R2)
+                assert str(err.value) == error[member.key()]
         with pytest.raises(ValueError, match="joint pattern distribution invalid"):
             estimate_distances(rho1, rho2, forms, shots=100, plan=plan)
 

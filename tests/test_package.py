@@ -47,7 +47,7 @@ def test_cli_import_builds_no_cache():
     sizes = json.loads(done.stdout)
     assert {
         "qoverlap.graphs._contraction_steps",
-        "qoverlap.interferometer._pattern_group",
+        "qoverlap.interferometer._pattern_chain",
         "qoverlap.cli._parser",
     } <= set(sizes)
     assert not any(sizes.values()), sizes
@@ -80,8 +80,14 @@ def test_one_quartic_solver_and_one_least_squares_solve():
 
 def test_overlap_route_makes_no_contraction():
     """Overlap words are star products of correlation matrices: ``overlaps.py`` calls no
-    ``contract(``, so the contraction engine serves graphs and patterns only."""
+    ``contract(``, so the contraction engine serves the graph probabilities only."""
     assert {place for place in _places("contract(") if place[0] == "overlaps.py"} == set()
+
+
+def test_one_pattern_path():
+    """Patterns come from the ring chain alone: ``interferometer.py`` calls no ``contract(`` and no ``np.einsum``."""
+    calls = {place for text in ("contract(", "np.einsum") for place in _places(text)}
+    assert {place for place in calls if place[0] == "interferometer.py"} == set()
 
 
 def test_no_module_level_cache_dict():
