@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -449,16 +449,28 @@ def _exact_probabilities(graph: MeasurementGraph, seed: int) -> tuple[Fraction, 
 def _certified(oracle: Target, basis: MonomialBasis, entries: dict[int, Fraction], seed: int) -> bool:
     """Whether the rational combination ``entries`` equals ``oracle`` on each certification pair of ``seed``.
 
-    Each pair's value is summed exactly from the shared class
-    probabilities (:func:`_exact_probabilities`) and compared with the
-    target's exact value on the pair; the first mismatch decides.
+    The sums are integer work.  On each pair the shared class
+    probabilities (:func:`_exact_probabilities`) are numerators over one
+    common denominator ``D``, so a monomial of degree ``k`` is a product of
+    numerators over ``D^k``; scaled to ``D^K`` (``K`` the highest degree)
+    and weighted by the coefficients times their common denominator ``L``,
+    the monomials sum to one integer, which equals ``L D^K`` times the
+    target's exact value on the pair when the fit holds.  That is checked
+    by cross-multiplication, and the first mismatch decides.
     """
-    probs = {i: _exact_probabilities(basis.graphs[i], seed) for i in basis.classes(entries)}
-    return all(
-        sum(c * prod(probs[i][p] for i in basis.monomials[k]) for k, c in entries.items())
-        == oracle(q1, q2, EXACT)
-        for p, (q1, q2, _, _) in enumerate(_certification_pairs(seed))
-    )
+    classes = basis.classes(entries)
+    probs = {i: _exact_probabilities(basis.graphs[i], seed) for i in classes}
+    scale = lcm(*(c.denominator for c in entries.values()))
+    terms = [(int(c * scale), basis.monomials[k]) for k, c in entries.items()]
+    top = max(len(monomial) for _, monomial in terms)
+    for p, (q1, q2, _, _) in enumerate(_certification_pairs(seed)):
+        den = lcm(*(probs[i][p].denominator for i in classes))
+        num = {i: probs[i][p].numerator * (den // probs[i][p].denominator) for i in classes}
+        total = sum(c * prod(num[i] for i in monomial) * den ** (top - len(monomial)) for c, monomial in terms)
+        want = oracle(q1, q2, EXACT)
+        if total * want.denominator != scale * den**top * want.numerator:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,22 @@ P_MINUS = (np.eye(4, dtype=complex) - sum(np.kron(PAULI[i], PAULI[i]) for i in (
 P_MINUS.setflags(write=False)
 
 # The quartic root-finder tolerates this much imaginary residue before
-# declaring the moment set ill-conditioned.  A real spectrum with an
-# m-fold eigenvalue perturbs the computed roots by O(eps^(1/m)) — up to
-# ~1e-4 for a quadruple root — so residues below this ceiling are root-
-# finder artifacts of a legitimate degenerate spectrum, not bad input.
+# declaring the moment set ill-conditioned.  Rounding the moments of a real
+# spectrum with an m-fold eigenvalue splits that eigenvalue by O(eps^(1/m))
+# of the scale, possibly into a complex pair.  On 3,000 random rotations
+# each, the closed-form roots leave residues up to 7.5e-9 at the double
+# eigenvalues of (0.5, -0.5, 0, 0) and (0.3, 0.3, -0.3, -0.3), and 2.7e-6 at
+# the triple one of (0.6, -0.2, -0.2, -0.2) (4.4e-6 for (1, -1/3, -1/3, -1/3));
+# a traceless 4x4 difference has no quadruple eigenvalue but 0, whose roots
+# come out exact.  Residues below this ceiling are rounding of a legitimate
+# degenerate spectrum, not bad input.
 ROOT_IMAG_TOL = 1e-3
 
 # Radicands below this mean the overlaps did not come from states.
 RADICAND_TOL = -1e-9
+
+# Guarded Newton steps on the resolvent cubic after its closed-form root.
+NEWTON_STEPS = 2
 
 
 def factor_tensor() -> np.ndarray:
@@ -364,21 +372,74 @@ def moments(rho1: np.ndarray, rho2: np.ndarray) -> MomentSet:
     return m
 
 
+def _where(cond, x, y):
+    """``np.where`` that keeps a scalar row scalar: a 0-d ``where`` costs more than the row."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _resolvent_root(pi2, e, b2):
+    """Largest real root ``u`` of ``g(u) = u^3 - Pi2 u^2 + e u - b^2``, clipped at 0.
+
+    Trigonometric form where the cubic has three real roots, Cardano with
+    ``cbrt`` where it has one, then ``NEWTON_STEPS`` Newton steps, each
+    taken only where it lowers ``|g|``.  They sharpen a tiny root, which
+    the closed form gets only to the rounding of the scale; the guard
+    drops the wild steps that rounding makes at a double or triple root.
+    A step that lands on a lower root is harmless: every root ``u >= 0``
+    factors the quartic, and :func:`characteristic_roots` takes ``q - p``
+    without dividing by a small ``s``.
+    """
+    p = e - pi2 * pi2 / 3.0  # depressed cubic t^3 + p t + q, u = t + Pi2/3
+    q = pi2 * e / 3.0 - 2.0 * pi2 * pi2 * pi2 / 27.0 - b2
+    disc = 0.25 * q * q + p * p * p / 27.0
+    root_disc = np.sqrt(abs(disc))
+    cube = -np.cbrt(0.5 * q + np.copysign(root_disc, q))
+    trig = 2.0 * np.sqrt(abs(p) / 3.0) * np.cos(np.arctan2(root_disc, -0.5 * q) / 3.0)
+    u = _where(disc > 0.0, cube - p / (3.0 * cube), trig) + pi2 / 3.0
+    g = ((u - pi2) * u + e) * u - b2
+    for _ in range(NEWTON_STEPS):
+        new = u - g / ((3.0 * u - 2.0 * pi2) * u + e)
+        g_new = ((new - pi2) * new + e) * new - b2
+        take = abs(g_new) < abs(g)
+        u, g = _where(take, new, u), _where(take, g_new, g)
+    return _where(u > 0.0, u, 0.0)
+
+
 def characteristic_roots(pi2, pi3, pi4) -> np.ndarray:
     """Roots of ``y^4 - (Pi2/2) y^2 - (Pi3/3) y + det``, ``det = (Pi2^2/2 - Pi4)/4``.
 
-    Elementwise on arrays of moments: one eigensolve of the ``(..., 4, 4)``
-    companion matrices, built as numpy's ``roots`` builds them, gives
-    ``(..., 4)`` roots.  For the moments of a traceless Hermitian 4x4
-    difference these are its eigenvalues, up to the solver's noise.
+    Elementwise on arrays of moments, in closed form, giving ``(..., 4)``
+    complex roots.  The depressed quartic factors as
+    ``(y^2 + s y + p)(y^2 - s y + q)`` with ``s^2 = u``, the largest real
+    root of the resolvent cubic ``u^3 - Pi2 u^2 + (Pi4 - Pi2^2/4) u - (Pi3/3)^2``
+    (:func:`_resolvent_root`), which is never negative because the cubic is
+    ``-(Pi3/3)^2 <= 0`` at 0.  The two real quadratics give the roots, so
+    there is no eigensolve and no complex cube root.  ``q - p`` is
+    ``-Pi3 / (3 s)`` where ``u > |Pi2|/4``, which holds for every real
+    spectrum (the three resolvent roots are the squared pair sums of the
+    eigenvalues and add up to ``Pi2``, so the largest is at least ``Pi2/3``);
+    below it ``s`` may be tiny, and ``q - p`` is
+    ``sqrt(u^2 - Pi2 u + Pi4 - Pi2^2/4)`` with the sign of ``-Pi3``.  For
+    the moments of a traceless Hermitian 4x4 difference the roots are its
+    eigenvalues up to rounding, which grows to ``eps^(1/m)`` of the scale
+    at an ``m``-fold eigenvalue, as for any solver of the quartic.
     """
-    pi2, pi3, pi4 = np.broadcast_arrays(pi2, pi3, pi4)
-    companion = np.zeros(pi2.shape + (4, 4))
-    companion[..., 1:, :3] = np.eye(3)
-    companion[..., 0, 1] = pi2 / 2.0
-    companion[..., 0, 2] = pi3 / 3.0
-    companion[..., 0, 3] = -0.25 * (0.5 * pi2 * pi2 - pi4)
-    return np.linalg.eigvals(companion)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi2, pi3, pi4 = (np.asarray(x, dtype=float)[()] for x in (pi2, pi3, pi4))
+        e = pi4 - 0.25 * pi2 * pi2  # a^2 - 4 det for the quartic's a = -Pi2/2
+        b = -pi3 / 3.0
+        u = _resolvent_root(pi2, e, b * b)
+        s = np.sqrt(u)
+        w2 = (u - pi2) * u + e  # (q - p)^2 where u is a root
+        w = _where(u > 0.25 * abs(pi2), b / s, np.copysign(np.sqrt(_where(w2 > 0.0, w2, 0.0)), b))
+    roots = np.empty(s.shape + (4,), dtype=complex)
+    for k, (sign, d) in enumerate(((-0.5, pi2 - u + 2.0 * w), (0.5, pi2 - u - 2.0 * w))):
+        # The quadratic y^2 -+ s y + . has discriminant d: roots sign * (s +- sqrt d).
+        root_d = np.sqrt(abs(d))
+        real, imag = root_d * (d >= 0.0), 0.5j * root_d * (d < 0.0)
+        roots[..., 2 * k] = sign * (s + real) + imag
+        roots[..., 2 * k + 1] = sign * (s - real) - imag
+    return roots
 
 
 def trace_distance_via_moments(m: MomentSet) -> float:
@@ -386,11 +447,13 @@ def trace_distance_via_moments(m: MomentSet) -> float:
 
     Returns half the absolute sum of the cleaned-up
     :func:`characteristic_roots`.  Cleanup: the true spectrum is real
-    (moments of a Hermitian difference), so spurious conjugate pairs —
-    the root finder's signature at degenerate eigenvalues — collapse
-    onto their shared real part.  Root sums are trace-accurate even where the
-    individual roots wobble, so the result keeps machine accuracy at
-    double, triple and quadruple degeneracies.  Residues beyond
+    (moments of a Hermitian difference), so spurious conjugate pairs,
+    which rounding makes of a degenerate eigenvalue, collapse onto their
+    shared real part.  A pair's real parts sum to its quadratic's exact
+    ``-+s`` even where the individual roots wobble, so the result keeps
+    machine accuracy at the spectra (0.3, 0.3, -0.3, -0.3) and
+    (0.6, -0.2, -0.2, -0.2); a double zero, as in (x, -x, 0, 0), costs
+    ``sqrt(eps)`` of the scale, for this solver as for any.  Residues beyond
     ``ROOT_IMAG_TOL`` cannot come from a Hermitian difference; those
     raise instead of being silently flattened.
     """

@@ -602,28 +602,44 @@ class TestStatValues:
             estimate_distances(bell, mixed, forms, shots=100, plan=partial)
 
 
-def per_row_roots(rows):
-    """np.roots of every row's quartic, one scalar solve each."""
-    return [
-        np.roots([1.0, 0.0, -0.5 * a, -b / 3.0, 0.25 * (0.5 * a * a - c)]) for a, b, c in rows
-    ]
+#: |T - T(np.roots)| allowed on every bootstrap corpus row: about ten ulps of
+#: the unit scale.  The closed form and np.roots' companion eigensolve round
+#: differently, but on rows away from a double root both keep T to rounding.
+ROOTS_T_TOL = 2e-15
 
 
-def assert_roots_match_per_row(rows):
-    """Bit-identical to np.roots where det != 0; T within 1e-15 where np.roots deflates."""
+def per_row_t(rows):
+    """T from np.roots of every row's quartic, one scalar solve each."""
+    return np.array([
+        0.5 * np.abs(np.roots([1.0, 0.0, -0.5 * a, -b / 3.0, 0.25 * (0.5 * a * a - c)]).real).sum()
+        for a, b, c in rows
+    ])
+
+
+def assert_t_matches_per_row(rows):
+    """T from the batched closed form against np.roots, row by row, within ROOTS_T_TOL."""
     got = characteristic_roots(*rows.T)
     assert got.shape == (len(rows), 4)
-    for row, roots, want in zip(rows, got, per_row_roots(rows)):
-        det = 0.25 * (0.5 * row[0] * row[0] - row[2])
-        if det != 0.0:
-            assert np.array_equal(roots, want), row
-        else:
-            t, t_want = (0.5 * np.abs(r.real).sum() for r in (roots, want))
-            assert abs(t - t_want) <= 1e-15, row
+    t = 0.5 * np.abs(got.real).sum(axis=-1)
+    for row, value, want in zip(rows, t, per_row_t(rows)):
+        assert abs(value - want) <= ROOTS_T_TOL, row
 
 
 def moment_draws(mean, cov, seed, n=200):
     return np.random.default_rng(seed).multivariate_normal(mean, cov, size=n, method="eigh")
+
+
+@pytest.fixture()
+def solved_rows(monkeypatch):
+    """Every moment array the estimator hands to ``characteristic_roots``, as (rows, 3) arrays."""
+    seen = []
+
+    def recorded(pi2, pi3, pi4):
+        seen.append(np.stack(np.broadcast_arrays(pi2, pi3, pi4), axis=-1))
+        return characteristic_roots(pi2, pi3, pi4)
+
+    monkeypatch.setattr(interferometer, "characteristic_roots", recorded)
+    return seen
 
 
 class TestBootstrap:
@@ -633,7 +649,7 @@ class TestBootstrap:
         rng = np.random.default_rng(30)
         m = moments(random_state(4, seed=rng), random_state(4, seed=rng))
         A = rng.normal(size=(3, 3)) * 1e-3
-        assert_roots_match_per_row(moment_draws([m.pi2, m.pi3, m.pi4], A @ A.T, 31))
+        assert_t_matches_per_row(moment_draws([m.pi2, m.pi3, m.pi4], A @ A.T, 31))
 
     def test_equal_pair_clips_negative_pi2(self):
         """Draws as the estimator solves them, pi2 clipped at 0."""
@@ -642,24 +658,35 @@ class TestBootstrap:
         draws = moment_draws([m.pi2, m.pi3, m.pi4], np.diag([1e-6, 1e-9, 1e-10]), 33)
         assert (draws[:, 0] < 0).sum() > 50
         draws[:, 0] = np.where(draws[:, 0] < 0.0, 0.0, draws[:, 0])
-        assert_roots_match_per_row(draws)
+        assert_t_matches_per_row(draws)
 
     def test_rank_deficient_covariance(self):
         rng = np.random.default_rng(34)
         m = moments(random_state(4, seed=rng), random_state(4, seed=rng))
         v = np.array([1.0, -0.5, 0.25]) * 1e-3
-        assert_roots_match_per_row(moment_draws([m.pi2, m.pi3, m.pi4], np.outer(v, v), 35))
+        assert_t_matches_per_row(moment_draws([m.pi2, m.pi3, m.pi4], np.outer(v, v), 35))
 
     def test_zero_constant_coefficient_keeps_scalar_roots(self):
-        """Where det == 0 np.roots deflates; T keeps its value within 1e-15."""
+        """Where det == 0 np.roots deflates a zero root; T keeps the scalar solve's value."""
         rows = np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 2.0], [0.5, -0.1, 0.125], [2.0, 0.0, 2.0]])
-        assert_roots_match_per_row(rows)
+        assert_t_matches_per_row(rows)
         t = 0.5 * np.abs(characteristic_roots(*rows.T).real).sum(axis=-1)
         assert t[0] == 0.0
         assert t[3] == pytest.approx(1.0, abs=1e-15)  # eigenvalues 1, -1, 0, 0
 
-    def test_one_root_solve_whatever_the_draw_count(self, forms, plan, bell, mixed, monkeypatch):
-        """The point estimate, all ``BOOTSTRAP_DRAWS`` draws and the formula share one eigensolve."""
+    def test_equal_pair_draws_at_a_million_shots(self, forms, plan, solved_rows):
+        """The rows an equal pair's estimate solves at 1e6 shots, pi2 clipped, against np.roots."""
+        rho = random_state(4, seed=37)
+        for seed in (38, 39):
+            estimate_distances(rho, rho, forms, shots=1_000_000, seed=seed, plan=plan)
+        rows = np.concatenate(solved_rows)
+        assert len(rows) == 2 * (interferometer.BOOTSTRAP_DRAWS + 2)
+        assert (rows[:, 0] == 0.0).sum() > 20
+        assert_t_matches_per_row(rows)
+
+    def test_one_root_solve_whatever_the_draw_count(self, forms, plan, bell, mixed, monkeypatch, solved_rows):
+        """The point estimate, all ``BOOTSTRAP_DRAWS`` draws and the formula share one
+        ``characteristic_roots`` call, which makes no eigensolve and calls no ``np.roots``."""
         calls = []
 
         def counted(fn):
@@ -671,8 +698,10 @@ class TestBootstrap:
 
         monkeypatch.setattr(np, "roots", counted(np.roots))
         monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
-        estimate_distances(bell, mixed, forms, shots=1000, seed=36, plan=plan)
-        assert calls == ["eigvals"]
+        for seed in (36, 37):
+            estimate_distances(bell, mixed, forms, shots=1000, seed=seed, plan=plan)
+        assert calls == []
+        assert [len(rows) for rows in solved_rows] == [interferometer.BOOTSTRAP_DRAWS + 2] * 2
 
 
 def reference_plan(graphs):

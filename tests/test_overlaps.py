@@ -8,7 +8,9 @@ from qoverlap.core import from_correlation, mode_swap_unitary, random_state, ran
 from qoverlap.graphs import contract
 from qoverlap.oracle import trace_distance
 from qoverlap.overlaps import (
+    ROOT_IMAG_TOL,
     MomentSet,
+    characteristic_roots,
     distances_from_overlaps,
     moments,
     moments_from_overlaps,
@@ -248,6 +250,67 @@ class TestTraceDistanceViaMoments:
         # no Hermitian difference yields these: forces truly complex roots
         with pytest.raises(ValueError, match="ill-conditioned"):
             trace_distance_via_moments(MomentSet(0.0, -2.0, 0.0, 2.0))
+
+
+def basis_states():
+    """|00>, |01>, |10>, |11> as density matrices."""
+    return [np.diag(np.eye(4)[k]).astype(complex) for k in range(4)]
+
+
+def bell_states():
+    """Phi+, Phi-, Psi+, Psi- as density matrices."""
+    kets = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+    return [np.outer(v, v).astype(complex) for v in kets]
+
+
+def quartic_t(pi2, pi3, pi4):
+    """T and the worst imaginary residue of the roots, from moments alone."""
+    roots = characteristic_roots(pi2, pi3, pi4)
+    return 0.5 * np.abs(roots.real).sum(axis=-1), np.abs(roots.imag).max(axis=-1)
+
+
+class TestClosedFormQuartic:
+    """The closed-form roots where closed forms are weak, against ``eigvalsh`` of the difference.
+
+    ``TOL`` is criterion 5's 1e-7.  At a double eigenvalue the moments fix T
+    only to about ``sqrt(eps)`` of the scale, for this solver as for an
+    eigensolve of the companion matrix; everywhere else they agree to rounding.
+    """
+
+    TOL = 1e-7
+
+    def assert_pairs(self, pairs):
+        for rho1, rho2 in pairs:
+            m = moments(rho1, rho2)
+            t, imag = quartic_t(m.pi2, m.pi3, m.pi4)
+            assert t == pytest.approx(trace_distance(rho1, rho2), abs=self.TOL)
+            assert imag <= ROOT_IMAG_TOL
+
+    def test_computational_basis_pairs(self):
+        self.assert_pairs(product(basis_states(), repeat=2))
+
+    def test_bell_pairs(self):
+        self.assert_pairs(product(bell_states(), repeat=2))
+
+    def test_pure_pairs(self):
+        """Differences with eigenvalues (x, -x, 0, 0): the resolvent has a double largest root."""
+        rng = np.random.default_rng(15)
+        self.assert_pairs((random_state(4, "pure", seed=rng), random_state(4, "pure", seed=rng)) for _ in range(300))
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [(0.3, 0.3, -0.3, -0.3), (0.5, -0.5, 0.0, 0.0), (0.6, -0.2, -0.2, -0.2), (0.4, 0.4, -0.5, -0.3)],
+    )
+    def test_degenerate_spectra_rotated(self, spectrum):
+        """Each spectrum as ``U diag(lam) U^dag`` for random unitaries; the third has a
+        triple eigenvalue and a triple resolvent root."""
+        rng = np.random.default_rng(16)
+        diffs = np.array([(u * spectrum) @ u.conj().T for u in (random_unitary(4, rng) for _ in range(300))])
+        d2 = diffs @ diffs
+        pi2, pi3, pi4 = (np.trace(m, axis1=-2, axis2=-1).real for m in (d2, d2 @ diffs, d2 @ d2))
+        t, imag = quartic_t(pi2, pi3, pi4)
+        assert np.abs(t - 0.5 * np.abs(spectrum).sum()).max() <= self.TOL
+        assert imag.max() <= ROOT_IMAG_TOL
 
 
 class TestDistancesFromOverlaps:

@@ -72,9 +72,11 @@ def test_einsum_path_only_in_the_contraction_engine():
 
 
 def test_one_quartic_solver_and_one_least_squares_solve():
-    """Quartics go through ``overlaps.characteristic_roots``, never ``np.roots``; the
-    only ``lstsq`` is the trace-kernel solve of ``derive._matching_kernel``."""
+    """Quartics go through ``overlaps.characteristic_roots``, never ``np.roots`` and
+    never a companion eigensolve; the only ``lstsq`` is the trace-kernel solve of
+    ``derive._matching_kernel``."""
     assert _places("np.roots") == set()
+    assert _places("eigvals(") == _places("linalg.eig(") == set()
     assert _places("lstsq") == {("derive.py", "_matching_kernel")}
 
 
