@@ -6,10 +6,11 @@ graph's statistic is the probability that every edge fires at once.
 This module enumerates graphs, reduces them to canonical classes under
 copy exchange, and evaluates their probabilities — fast (vectorized
 correlation contractions) and exactly (rational arithmetic), plus the
-combinatorial counts behind the class bookkeeping.  Its :func:`contract`
-is the package's one contraction engine: every planned einsum of the
-graph probabilities runs through it.  The interferometer's joint outcome
-patterns need none; they are ring products of 4x4 matrices.
+combinatorial counts behind the class bookkeeping.  The fast route
+plans numpy's greedy contraction path once per subscripts and operand
+shapes (:func:`_greedy_path`), and ``np.einsum`` runs it.  The
+interferometer's joint outcome patterns need no einsum; they are ring
+products of 4x4 matrices.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -34,7 +35,6 @@ __all__ = [
     "count_matchings",
     "is_connected_spanning",
     "enumerate_classes",
-    "contract",
     "probability_batch",
     "probability_exact",
     "Numerators",
@@ -355,90 +355,9 @@ def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, tuple[tuple[int, str],
 
 
 @lru_cache(maxsize=None)
-def _contraction_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The steps of ``np.einsum(spec, ..., optimize="greedy")``, planned once per subscripts and shapes.
-
-    Each step is recorded as the call that ``np.einsum`` makes for it,
-    with the positions of the operands it pops: one ``einsum`` over a
-    single operand or three and more, :func:`_pair_step` for two.
-    Replaying them (:func:`contract`) gives the same bits without
-    re-planning the path on every call.
-    """
-    lhs, out = spec.split("->")
-    terms = lhs.split(",")
-    size = {ix: d for t, shape in zip(terms, shapes) for ix, d in zip(t, shape)}
-    path = np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
-    steps = []
-    for n, inds in enumerate(path[1:], 2):
-        inds = tuple(sorted(inds, reverse=True))
-        inputs = [terms.pop(k) for k in inds]
-        # numpy's intermediate keeps the indices still needed, by (size, letter)
-        needed = set("".join(terms) + out)
-        kept = {ix for t in inputs for ix in t if ix in needed}
-        result = out if n == len(path) else "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
-        eq = ",".join(inputs) + "->" + result
-        steps.append((inds, _pair_step(eq, size) if len(inputs) == 2 else partial(np.einsum, eq)))
-        terms.append(result)
-    return tuple(steps)
-
-
-def _pair_step(eq: str, size: dict):
-    """A two-operand step of ``np.einsum(..., optimize=path)``, made with numpy's calls.
-
-    numpy contracts a pair by transposing each operand with a
-    one-operand ``einsum`` (size-1 axes dropped) and fusing its axes
-    into (batch, kept, summed) groups, then one ``matmul``, or one
-    broadcast ``multiply`` when nothing is summed, and a reshape and
-    transpose of the product.  Making the same calls on the same
-    layouts gives the same bits.  Each index occurs once per term, as
-    in every contraction of this package.
-    """
-    lhs, out = eq.split("->")
-    ta, tb = lhs.split(",")
-    left, right = ([ix for ix in t if size[ix] > 1] for t in (ta, tb))
-    summed = [ix for ix in left if ix in right and ix not in out]
-    if summed:
-        batch = [ix for ix in left if ix in right and ix in out]
-        keep_a = [ix for ix in left if ix not in right and ix in out]
-        keep_b = [ix for ix in right if ix not in left and ix in out]
-        lead = [batch] if batch else []
-        terms = [(ta, lead + [keep_a, summed]), (tb, lead + [summed, keep_b])]
-        prepared = [
-            (f"{t}->{''.join(sum(groups, []))}", tuple(math.prod(size[ix] for ix in g) for g in groups))
-            for t, groups in terms
-        ]
-        product = "".join([ix for ix in out if size[ix] == 1] + batch + keep_a + keep_b)
-        combine = np.matmul
-    else:  # a broadcast product in output order
-        prepared = [
-            (f"{t}->{''.join(ix for ix in out if ix in t)}", tuple(size[ix] if ix in t else 1 for ix in out))
-            for t in (ta, tb)
-        ]
-        product, combine = out, np.multiply
-    (eq_a, shape_a), (eq_b, shape_b) = prepared
-    shape = tuple(size[ix] for ix in product)
-    perm = tuple(product.index(ix) for ix in out)
-
-    def step(a, b):
-        a = np.einsum(eq_a, a).reshape(shape_a)
-        b = np.einsum(eq_b, b).reshape(shape_b)
-        return combine(a, b).reshape(shape).transpose(perm)
-
-    return step
-
-
-def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, *operands, optimize="greedy")``, bit for bit, from recorded steps.
-
-    The greedy path and its steps are planned once per subscripts and
-    operand shapes (:func:`_contraction_steps`); later calls only replay
-    them, each step on the operands it pops, its result appended.  Every
-    index must occur at most once per term.
-    """
-    operands = list(operands)
-    for inds, step in _contraction_steps(spec, tuple(op.shape for op in operands)):
-        operands.append(step(*[operands.pop(k) for k in inds]))
-    return operands[0]
+def _greedy_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """numpy's greedy path for ``spec`` on operands of ``shapes``, planned once per subscripts and shapes."""
+    return tuple(np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize="greedy")[0])
 
 
 def _copy_operands(copy_plan: tuple[tuple[int, str], ...], *Rs: np.ndarray) -> list[np.ndarray]:
@@ -462,7 +381,10 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
     ``R1s``/``R2s`` have shape (S, 4, 4); the result has shape (S,).
     The contraction is ``4**-|E| sum_idx (prod_e ETA[i_e])
     (prod_c R^(state_c)[row_c, col_c])`` with each copy's row/column
-    indices read off the edges touching its two modes.
+    indices read off the edges touching its two modes.  numpy's greedy
+    path is planned once per subscripts and operand shapes
+    (:func:`_greedy_path`), and ``np.einsum`` runs it: the same bits as
+    ``optimize="greedy"`` without re-planning on every call.
     """
     R1s = np.asarray(R1s, dtype=float)
     R2s = np.asarray(R2s, dtype=float)
@@ -470,7 +392,8 @@ def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray)
         return np.ones(R1s.shape[0])
     spec, copy_plan = _einsum_recipe(graph)
     operands = [ETA] * graph.n_edges + _copy_operands(copy_plan, R1s, R2s)
-    return contract(spec, *operands) / 4.0**graph.n_edges
+    path = _greedy_path(spec, tuple(op.shape for op in operands))
+    return np.einsum(spec, *operands, optimize=path) / 4.0**graph.n_edges
 
 
 class Numerators(NamedTuple):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from qoverlap.core import (
     to_correlation,
     validate_density,
 )
+from qoverlap.oracle import sub_super_fidelity
+from qoverlap.overlaps import distances_from_overlaps, overlap_set
 
 
 def loop_ginibre(rng, dim, r):
@@ -55,6 +60,38 @@ class TestValidation:
         rho[2, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             validate_density(rho)
+
+
+def nearly_pure(v, delta):
+    """``(1 - delta) |v><v| / |v|^2 + delta I/4`` for a real vector ``v``, in exact fractions."""
+    norm = sum(x * x for x in v)
+    return [
+        [(1 - delta) * Fraction(a * b, norm) + (delta / 4 if i == j else 0) for j, b in enumerate(v)]
+        for i, a in enumerate(v)
+    ]
+
+
+def exact_trace_of_product(*factors):
+    product = factors[0]
+    for f in factors[1:]:
+        product = [[sum(product[i][k] * f[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+    return sum(product[i][i] for i in range(4))
+
+
+class TestGuardedSqrt:
+    def test_noise_floor_keeps_a_small_true_radicand(self):
+        """A nearly pure pair's subfidelity radicand, 2.4e-14 against a scale of 5.7e-4, is signal:
+        ``guarded_sqrt`` must keep it on both routes.  Its root, 1.5e-7, is what a floor
+        raised to 1e6 eps would drop."""
+        delta = Fraction(3, 10**7)
+        r1, r2 = nearly_pure((1, 2, 0, 1), delta), nearly_pure((2, -1, 1, 1), delta)
+        o12, o2 = exact_trace_of_product(r1, r2), exact_trace_of_product(r1, r2, r1, r2)
+        want = float(o12) + math.sqrt(2 * (o12 * o12 - o2))
+        rho1, rho2 = (np.array(r, dtype=float).astype(complex) for r in (r1, r2))
+        oracle = sub_super_fidelity(rho1, rho2)[0]
+        overlap_route = distances_from_overlaps(overlap_set(to_correlation(rho1), to_correlation(rho2))).subfidelity
+        assert abs(oracle - want) <= 1e-9
+        assert abs(overlap_route - want) <= 1e-9
 
 
 class TestCorrelation:

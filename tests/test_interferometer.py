@@ -9,11 +9,9 @@ from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import _symbolic_support, build_basis
 from qoverlap.graphs import (
     MeasurementGraph,
-    _contraction_steps,
     _copy_operands,
     _einsum_recipe,
     connected_components,
-    contract,
     enumerate_classes,
     probability_batch,
 )
@@ -218,56 +216,6 @@ def bell_state(k):
     a, b = ((0, 3), (0, 3), (1, 2), (1, 2))[k]
     v[a], v[b] = 1.0, (1.0, -1.0, 1.0, -1.0)[k]
     return np.outer(v, v.conj()) / 2.0
-
-
-def replay_pairs():
-    rng = np.random.default_rng(23)
-    rho = random_state(4, seed=rng)
-    return {
-        "ginibre": (random_state(4, seed=rng), random_state(4, seed=rng)),
-        "pure": (random_state(4, "pure", rng), random_state(4, "pure", rng)),
-        "equal": (rho, rho),
-        "basis": (basis_state(0), basis_state(3)),
-        "basis-equal": (basis_state(1), basis_state(1)),
-        "bell": (bell_state(0), bell_state(3)),
-        "bell-equal": (bell_state(2), bell_state(2)),
-    }
-
-
-def claim_plans(fits):
-    """The claim report's plans: pi2; o2; pi2, pi3 and pi4 together."""
-    plans = []
-    for names in (("pi2",), ("o2",), ("pi2", "pi3", "pi4")):
-        graphs = {}
-        for name in names:
-            for i in fits[name].support_graphs():
-                g = fits[name].basis.graphs[i]
-                graphs[g.key()] = g
-        plans.append(plan_configurations(list(graphs.values())))
-    return plans
-
-
-class TestContractionReplay:
-    @pytest.mark.parametrize("pair", sorted(replay_pairs()))
-    def test_replay_equals_einsum_on_its_path(self, fits, plan, pair):
-        """Every member of the session and claim plans, bit for bit."""
-        R1, R2 = (to_correlation(rho)[None] for rho in replay_pairs()[pair])
-        members = {m.key(): m for p in [plan, *claim_plans(fits)] for c in p.configurations for m in c.members}
-        for member in members.values():
-            spec, copy_plan = pattern_contraction(member)
-            operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1, R2)
-            want = np.einsum(spec, *operands, optimize="greedy")
-            got = contract(spec, *operands)
-            assert got.shape == want.shape and np.array_equal(got, want), (pair, str(member))
-
-    def test_pair_and_multi_operand_steps_both_replayed(self, plan):
-        R = np.zeros((1, 4, 4))
-        arities = set()
-        for m in {m for c in plan.configurations for m in c.members}:
-            spec, copy_plan = pattern_contraction(m)
-            shapes = tuple(op.shape for op in [_OUTCOME_ETA] * m.n_edges + _copy_operands(copy_plan, R, R))
-            arities |= {len(inds) for inds, _ in _contraction_steps(spec, shapes)}
-        assert 2 in arities and max(arities) > 2
 
 
 class TestCompiledEstimator:

@@ -46,7 +46,7 @@ def test_cli_import_builds_no_cache():
     )
     sizes = json.loads(done.stdout)
     assert {
-        "qoverlap.graphs._contraction_steps",
+        "qoverlap.graphs._greedy_path",
         "qoverlap.interferometer._pattern_chain",
         "qoverlap.cli._parser",
     } <= set(sizes)
@@ -67,8 +67,8 @@ def _places(text: str) -> set[tuple[str, str | None]]:
 
 
 def test_einsum_path_only_in_the_contraction_engine():
-    """``np.einsum_path`` appears in the package only inside ``graphs._contraction_steps``."""
-    assert _places("einsum_path") == {("graphs.py", "_contraction_steps")}
+    """``np.einsum_path`` appears in the package only inside ``graphs._greedy_path``."""
+    assert _places("einsum_path") == {("graphs.py", "_greedy_path")}
 
 
 def test_one_quartic_solver_and_one_least_squares_solve():
@@ -82,14 +82,13 @@ def test_one_quartic_solver_and_one_least_squares_solve():
 
 def test_overlap_route_makes_no_contraction():
     """Overlap words are star products of correlation matrices: ``overlaps.py`` calls no
-    ``contract(``, so the contraction engine serves the graph probabilities only."""
-    assert {place for place in _places("contract(") if place[0] == "overlaps.py"} == set()
+    ``probability_batch(``, whose planned contractions serve the graph probabilities only."""
+    assert {place for place in _places("probability_batch(") if place[0] == "overlaps.py"} == set()
 
 
 def test_one_pattern_path():
-    """Patterns come from the ring chain alone: ``interferometer.py`` calls no ``contract(`` and no ``np.einsum``."""
-    calls = {place for text in ("contract(", "np.einsum") for place in _places(text)}
-    assert {place for place in calls if place[0] == "interferometer.py"} == set()
+    """Patterns come from the ring chain alone: ``interferometer.py`` calls no ``einsum``."""
+    assert {place for place in _places("einsum") if place[0] == "interferometer.py"} == set()
 
 
 def test_no_module_level_cache_dict():
@@ -168,3 +167,24 @@ def test_module_import_graph_has_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+DECLARED = {"numpy", "pytest", "hypothesis", "qoverlap"}
+
+
+def test_imports_only_declared_dependencies():
+    """``src/`` and ``tests/`` import the standard library and the declared packages only:
+    scipy or mpmath may be installed, but ``pyproject.toml`` does not declare them."""
+    root = Path(__file__).resolve().parent.parent
+    found = set()
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                tops = ["qoverlap" if node.level else node.module.split(".")[0]]
+            else:
+                continue
+            found |= {(path.relative_to(root).as_posix(), top) for top in tops}
+    undeclared = sorted((f, top) for f, top in found if top not in sys.stdlib_module_names | DECLARED)
+    assert not undeclared, undeclared
