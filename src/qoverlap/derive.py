@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -29,10 +30,10 @@ from .graphs import (
     enumerate_classes,
     enumerate_matchings,
     exact_numerators,
+    exact_probabilities,
     matching_orbits,
     matching_partners,
-    probability_batch,
-    probability_exact,
+    probability_matrix,
 )
 from . import interferometer
 from .overlaps import TARGETS, Arithmetic, Target
@@ -87,8 +88,8 @@ class MonomialBasis:
         return sum(self.graphs[i].n_copies for i in self.monomials[k])
 
     def graph_matrix(self, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
-        """(n_graphs, S) matrix of every class probability on the batch."""
-        return np.array([probability_batch(g, R1s, R2s) for g in self.graphs])
+        """(n_graphs, S) matrix of every class probability on the batch, the classes sharing their ring halves."""
+        return probability_matrix(self.graphs, R1s, R2s)
 
     def design_matrix(self, P: np.ndarray) -> np.ndarray:
         """(S, n_monomials) matrix of monomial values from the (n_graphs, S) class probabilities.
@@ -441,9 +442,16 @@ def _certification_pairs(seed: int) -> tuple[tuple[_Rational, _Rational, Numerat
 
 
 @lru_cache(maxsize=None)
-def _exact_probabilities(graph: MeasurementGraph, seed: int) -> tuple[Fraction, ...]:
-    """Exact probabilities of ``graph`` on the certification pairs of ``seed``, once per graph and seed."""
-    return tuple(probability_exact(graph, N1, N2) for _, _, N1, N2 in _certification_pairs(seed))
+def _exact_probabilities(seed: int) -> MappingProxyType:
+    """Exact probabilities of every class on the certification pairs of ``seed``, by class.
+
+    Every class of :func:`enumerate_classes` is evaluated once per seed,
+    all on all pairs as one batch of shared ring halves
+    (:func:`exact_probabilities`); the mapping is read-only.
+    """
+    classes = enumerate_classes(4)
+    pairs = [(N1, N2) for _, _, N1, N2 in _certification_pairs(seed)]
+    return MappingProxyType(dict(zip(classes, exact_probabilities(classes, pairs))))
 
 
 def _certified(oracle: Target, basis: MonomialBasis, entries: dict[int, Fraction], seed: int) -> bool:
@@ -459,7 +467,8 @@ def _certified(oracle: Target, basis: MonomialBasis, entries: dict[int, Fraction
     by cross-multiplication, and the first mismatch decides.
     """
     classes = basis.classes(entries)
-    probs = {i: _exact_probabilities(basis.graphs[i], seed) for i in classes}
+    table = _exact_probabilities(seed)
+    probs = {i: table[basis.graphs[i]] for i in classes}
     scale = lcm(*(c.denominator for c in entries.values()))
     terms = [(int(c * scale), basis.monomials[k]) for k, c in entries.items()]
     top = max(len(monomial) for _, monomial in terms)
@@ -547,8 +556,8 @@ def _design_context(basis: MonomialBasis, samples: int, seed: int):
     """Fit and held-out ensembles, the design matrix and its rank, once per argument set.
 
     ``default_rng(seed)`` draws the ``samples`` fit pairs, then the
-    ``HOLDOUT_PAIRS`` held-out pairs.  Both are contracted as one batch,
-    so each graph's contraction is planned once; the design matrix is
+    ``HOLDOUT_PAIRS`` held-out pairs.  Both are evaluated as one batch,
+    every class from the batch's shared ring halves; the design matrix is
     built from the fit pairs' class probabilities, and the held-out
     block is copied out, so the joint matrix is freed.
     :func:`build_basis` returns one basis per copy count and process, so

@@ -4,13 +4,12 @@ A graph is a matching (set of disjoint edges) on the modes of a
 multi-copy layout; each edge is one two-mode singlet projection and the
 graph's statistic is the probability that every edge fires at once.
 This module enumerates graphs, reduces them to canonical classes under
-copy exchange, and evaluates their probabilities — fast (vectorized
-correlation contractions) and exactly (rational arithmetic), plus the
-combinatorial counts behind the class bookkeeping.  The fast route
-plans numpy's greedy contraction path once per subscripts and operand
-shapes (:func:`_greedy_path`), and ``np.einsum`` runs it.  The
-interferometer's joint outcome patterns need no einsum; they are ring
-products of 4x4 matrices.
+copy exchange, and evaluates their probabilities, in floats and exactly,
+plus the combinatorial counts behind the class bookkeeping.  A connected
+graph is a ring or a path over its copies, so its probability is the
+trace of a product of their correlation matrices (Ekert et al., PRL 88,
+217901, 2002).  :func:`_ring_chain` compiles those rings once per graph
+for the interferometer's joint patterns and for every probability here.
 """
 from __future__ import annotations
 
@@ -35,7 +34,9 @@ __all__ = [
     "count_matchings",
     "is_connected_spanning",
     "enumerate_classes",
+    "probability_matrix",
     "probability_batch",
+    "exact_probabilities",
     "probability_exact",
     "Numerators",
     "exact_numerators",
@@ -308,92 +309,134 @@ def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _copy_factors(graph: MeasurementGraph) -> list[tuple[int, int | None, int | None]]:
-    """Per touched copy: (copy index, a-mode edge index, b-mode edge index)."""
-    a_edge: dict[int, int] = {}
-    b_edge: dict[int, int] = {}
+#: Edge factor per outcome, row 0 "not antibunched", row 1 "antibunched":
+#: ``1 - P^- = (1/4) sum_i (4 delta_i0 - ETA[i]) sigma_i x sigma_i``.
+_OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
+
+#: Link weights per outcome, ``diag(w[outcome]) @ M`` in a ring product: an
+#: edge's ``_OUTCOME_ETA / 4``, a path's closing link through index 0, and a
+#: padding slot that reads 1 for outcome 0 and 0 for outcome 1.  A ring slot
+#: is ``5 * link + matrix``, its matrix one of ``[R1, R1.T, R2, R2.T, I]``.
+_LINK_WEIGHTS = np.stack([_OUTCOME_ETA / 4.0, [[1.0, 0, 0, 0], [0, 0, 0, 0]], [[1.0] * 4, [0] * 4]])
+_EDGE, _VIRTUAL, _PAD = 0, 5, 10
+_IDENTITY = 4
+
+#: Integer weights of an edge (times 4) and of a closing link when every edge antibunches.
+_ANTIBUNCHED = np.stack([4 * _LINK_WEIGHTS[0, 1], _LINK_WEIGHTS[1, 0]]).astype(int)
+
+
+class _Chain(NamedTuple):
+    """A graph's components as ring products (see :func:`_ring_chain`)."""
+
+    rings: tuple        # per component, its slots' codes in walk order
+    local: np.ndarray   # (component, 2**edges) ring-outcome index of each edge bitmask
+
+
+@lru_cache(maxsize=None)
+def _ring_chain(graph: MeasurementGraph) -> _Chain:
+    """The graph's components as rings of (link, copy) slots, compiled once per graph.
+
+    Every mode lies on at most one edge, so a component is a ring or a
+    path over its copies.  Its pattern entry for edge outcomes A is
+    Tr(D_{A_1} M_1 D_{A_2} M_2 ...): a walk enters each copy through one
+    mode and leaves through the other, ``M`` is the copy's R entered at
+    its ``a`` mode and R.T entered at ``b``, and ``D`` weighs the link it
+    entered by (:data:`_LINK_WEIGHTS`).  A path starts at a free mode and
+    closes through a virtual link fixed at index 0; a within-copy edge is
+    a ring of one.  Slot k's outcome is bit k of the ring's output index,
+    which ``local`` reads for every edge bitmask.
+    """
+    partner, edge = {}, {}
     for k, (i, j) in enumerate(graph.edges):
-        for m in (i, j):
-            (a_edge if m % 2 == 0 else b_edge)[m // 2] = k
-    out = []
-    for c in sorted(set(a_edge) | set(b_edge)):
-        out.append((c, a_edge.get(c), b_edge.get(c)))
+        partner[i], partner[j], edge[i], edge[j] = j, i, k, k
+    copies = sorted({m // 2 for m in partner})
+    # paths start at a free mode, so every path is walked whole before the rings
+    starts = [2 * c + (2 * c in partner) for c in copies if 2 * c not in partner or 2 * c + 1 not in partner]
+    rings, links, seen = [], [], set()
+    for start in starts + [2 * c for c in copies]:
+        if start // 2 in seen:
+            continue
+        slots, ring_links = [], []
+        mode, link = start, edge.get(start, -1)
+        while True:
+            seen.add(mode // 2)
+            slots.append((_EDGE if link >= 0 else _VIRTUAL) + 2 * graph.layout.copies[mode // 2] - 2 + mode % 2)
+            ring_links.append(link)
+            out = mode ^ 1
+            if out not in partner or partner[out] == start:
+                break
+            mode, link = partner[out], edge[out]
+        rings.append(tuple(slots))
+        links.append(ring_links)
+    masks = np.arange(2**graph.n_edges)
+    local = np.array([sum(((masks >> k) & 1) << s for s, k in enumerate(ks) if k >= 0) for ks in links])
+    return _Chain(tuple(rings), local)
+
+
+@lru_cache(maxsize=None)
+def _ring_halves(graphs: tuple[MeasurementGraph, ...]) -> tuple[tuple, tuple]:
+    """The graphs' rings (:func:`_ring_chain`) cut after their first ``ceil(L / 2)`` slots.
+
+    Returns the distinct halves, each ``(slots, side)`` with side 1 for a
+    right half, and per graph one ``(left, right)`` pair of half indices
+    per ring.  A ring of one has the empty half, the identity, on its right.
+    """
+    index: dict[tuple, int] = {}
+    rings = []
+    for g in graphs:
+        pairs = []
+        for ring in _ring_chain(g).rings:
+            cut = (len(ring) + 1) // 2
+            pairs.append(tuple(index.setdefault(half, len(index)) for half in ((ring[:cut], 0), (ring[cut:], 1))))
+        rings.append(tuple(pairs))
+    return tuple(index), tuple(rings)
+
+
+def _ring_sums(graphs: tuple[MeasurementGraph, ...], R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
+    """``4**edges`` times every graph's probability on the batch: ``(graphs, S)``, in the operands' dtype.
+
+    With every edge antibunched, a ring's pattern entry (:func:`_ring_chain`)
+    is Tr(W_1 ... W_L) / 4 per edge, W = diag(w) M with the integer weights
+    :data:`_ANTIBUNCHED`, and a graph's probability is the product over its
+    rings.  Each distinct half (:func:`_ring_halves`) is one batched
+    ``matmul``, shared by all the graphs, and a ring is one product-sum of
+    its left half and its transposed right half.  Integer operands give
+    exact integers; on floats, dividing by the power of two 4**edges
+    afterwards changes no bit.
+    """
+    halves, rings = _ring_halves(graphs)
+    mats = (R1s, R1s.swapaxes(1, 2), R2s, R2s.swapaxes(1, 2))
+    weights = _ANTIBUNCHED.astype(R1s.dtype)[:, :, None]
+    slots = {}
+    products = []
+    for half, side in halves:
+        for code in half:
+            if code not in slots:
+                link, matrix = divmod(code, 5)
+                slots[code] = weights[link] * mats[matrix]
+        product = slots[half[0]] if half else np.broadcast_to(np.eye(4, dtype=R1s.dtype), R1s.shape)
+        for code in half[1:]:
+            product = product @ slots[code]
+        products.append(np.ascontiguousarray(product.swapaxes(1, 2)) if side else product)
+    out = np.ones((len(graphs), len(R1s)), dtype=R1s.dtype)
+    for row, pairs in zip(out, rings):
+        for left, right in pairs:
+            row *= np.einsum("sij,sij->s", products[left], products[right])
     return out
 
 
-@lru_cache(maxsize=None)
-def _einsum_recipe(graph: MeasurementGraph) -> tuple[str, tuple[tuple[int, str], ...]]:
-    """Subscript string and copy/slice plan for the probability contraction.
-
-    Returns the einsum subscripts (eta operands first, then one operand
-    per touched copy with a batch axis) and, per copy, its state id and
-    slice spec: ``"ab"`` (full matrix), ``"a"`` (first column), ``"b"``
-    (first row), or ``"d"`` (diagonal, within-copy edge).  Built once
-    per graph.
-    """
-    letters = "ijklmnop"
-    subs = [letters[k] for k in range(graph.n_edges)]
-    copy_plan: list[tuple[int, str]] = []
-    copy_subs: list[str] = []
-    for c, ea, eb in _copy_factors(graph):
-        sid = graph.layout.copies[c]
-        if ea is not None and eb is not None:
-            if ea == eb:
-                copy_plan.append((sid, "d"))
-                copy_subs.append("s" + subs[ea])
-            else:
-                copy_plan.append((sid, "ab"))
-                copy_subs.append("s" + subs[ea] + subs[eb])
-        elif ea is not None:
-            copy_plan.append((sid, "a"))
-            copy_subs.append("s" + subs[ea])
-        else:
-            copy_plan.append((sid, "b"))
-            copy_subs.append("s" + subs[eb])
-    spec = ",".join(subs + copy_subs) + "->s"
-    return spec, tuple(copy_plan)
-
-
-@lru_cache(maxsize=None)
-def _greedy_path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """numpy's greedy path for ``spec`` on operands of ``shapes``, planned once per subscripts and shapes."""
-    return tuple(np.einsum_path(spec, *(np.empty(shape) for shape in shapes), optimize="greedy")[0])
-
-
-def _copy_operands(copy_plan: tuple[tuple[int, str], ...], *Rs: np.ndarray) -> list[np.ndarray]:
-    """Per touched copy ``(sid, kind)``, the batch of matrices ``Rs[sid - 1]`` sliced as ``kind`` says."""
-    operands = []
-    for sid, kind in copy_plan:
-        R = Rs[sid - 1]
-        if kind == "a":
-            R = R[:, :, 0]
-        elif kind == "b":
-            R = R[:, 0, :]
-        elif kind == "d":  # within-copy edge
-            R = np.einsum("sii->si", R)
-        operands.append(R)
-    return operands
+def probability_matrix(graphs, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
+    """Every graph's probability on a batch of (S, 4, 4) correlation-matrix pairs: ``(graphs, S)``, from shared ring halves."""
+    graphs = tuple(graphs)
+    R1s = np.asarray(R1s, dtype=float)
+    R2s = np.asarray(R2s, dtype=float)
+    edges = np.array([g.n_edges for g in graphs])
+    return _ring_sums(graphs, R1s, R2s) / 4.0 ** edges[:, None]
 
 
 def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
-    """Graph probabilities for a batch of correlation-matrix pairs.
-
-    ``R1s``/``R2s`` have shape (S, 4, 4); the result has shape (S,).
-    The contraction is ``4**-|E| sum_idx (prod_e ETA[i_e])
-    (prod_c R^(state_c)[row_c, col_c])`` with each copy's row/column
-    indices read off the edges touching its two modes.  numpy's greedy
-    path is planned once per subscripts and operand shapes
-    (:func:`_greedy_path`), and ``np.einsum`` runs it: the same bits as
-    ``optimize="greedy"`` without re-planning on every call.
-    """
-    R1s = np.asarray(R1s, dtype=float)
-    R2s = np.asarray(R2s, dtype=float)
-    if not graph.edges:
-        return np.ones(R1s.shape[0])
-    spec, copy_plan = _einsum_recipe(graph)
-    operands = [ETA] * graph.n_edges + _copy_operands(copy_plan, R1s, R2s)
-    path = _greedy_path(spec, tuple(op.shape for op in operands))
-    return np.einsum(spec, *operands, optimize=path) / 4.0**graph.n_edges
+    """One graph's probabilities, shape (S,), on a batch of (S, 4, 4) correlation-matrix pairs: :func:`probability_matrix`'s row."""
+    return probability_matrix((graph,), R1s, R2s)[0]
 
 
 class Numerators(NamedTuple):
@@ -409,33 +452,39 @@ def exact_numerators(R) -> Numerators:
     return Numerators(np.array([[v.numerator * (den // v.denominator) for v in row] for row in R]), den)
 
 
+def exact_probabilities(graphs, pairs) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact probabilities of every graph on rational correlation-matrix pairs, one tuple per graph.
+
+    ``pairs`` holds one ``(R1, R2)`` :class:`Numerators` pair per state
+    pair.  :func:`_ring_sums` runs on the integer numerators of all pairs
+    as one batch: in int64 while no partial sum can reach 2**63, in
+    Python integers otherwise.  Each probability is one fraction over
+    ``4**edges`` times each touched copy's denominator.
+    """
+    graphs = tuple(graphs)
+    N = np.array([[R.N for R in pair] for pair in pairs])
+    top = max((len(g.touched_copies()) for g in graphs), default=0)
+    dtype = np.int64 if (4 * max(int(np.abs(N).max()), 1)) ** top < 2**63 else object
+    sums = _ring_sums(graphs, N[:, 0].astype(dtype), N[:, 1].astype(dtype))
+    out = []
+    for g, row in zip(graphs, sums):
+        states = [g.layout.copies[c] for c in g.touched_copies()]
+        out.append(tuple(
+            Fraction(int(v), 4**g.n_edges * R1.den ** states.count(1) * R2.den ** states.count(2))
+            for v, (R1, R2) in zip(row, pairs)
+        ))
+    return tuple(out)
+
+
 def probability_exact(graph: MeasurementGraph, R1, R2) -> Fraction:
     """Exact rational graph probability from rational correlation matrices.
 
     ``R1``/``R2`` are 4x4 nested sequences of :class:`fractions.Fraction`,
-    or the :class:`Numerators` of one from :func:`exact_numerators`; a
-    caller evaluating many graphs on one pair converts the pair once.
-    The contraction of :func:`probability_batch` runs on the integer
-    numerators and the result is one fraction.  The integers are int64
-    while no partial sum can reach 2**63, and Python integers otherwise.
+    or the :class:`Numerators` of one from :func:`exact_numerators`: the
+    one-graph, one-pair case of :func:`exact_probabilities`.
     """
-    if not graph.edges:
-        return Fraction(1)
-    spec, copy_plan = _einsum_recipe(graph)
-    exact = {
-        sid: R if isinstance(R, Numerators) else exact_numerators(R)
-        for sid, R in ((1, R1), (2, R2))
-    }
-    denominator = bound = 4**graph.n_edges
-    for sid, _ in copy_plan:
-        N, den = exact[sid]
-        denominator *= den
-        bound *= max(int(np.abs(N).max()), 1)
-    dtype = np.int64 if bound < 2**63 else object
-    N1, N2 = (exact[sid][0].astype(dtype)[None] for sid in (1, 2))
-    operands = [np.array([1, -1, -1, -1], dtype=dtype)] * graph.n_edges
-    operands += _copy_operands(copy_plan, N1, N2)
-    return Fraction(int(np.einsum(spec, *operands)[0]), denominator)
+    pair = tuple(R if isinstance(R, Numerators) else exact_numerators(R) for R in (R1, R2))
+    return exact_probabilities((graph,), [pair])[0][0]
 
 
 # ---------------------------------------------------------------------------

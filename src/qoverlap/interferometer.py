@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import __version__, assemble, swap_modes, to_correlation
-from .graphs import ETA, MeasurementGraph, probability_batch
+from .graphs import MeasurementGraph, _IDENTITY, _LINK_WEIGHTS, _PAD, _ring_chain, probability_batch
 from .oracle import distance_set
 from .overlaps import P_MINUS, TARGETS, characteristic_roots
 
@@ -98,11 +98,6 @@ def graph_probability(
     return float(val.real)
 
 
-#: Edge factor per outcome, row 0 "not antibunched", row 1 "antibunched":
-#: ``1 - P^- = (1/4) sum_i (4 delta_i0 - ETA[i]) sigma_i x sigma_i``.
-_OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
-
-
 def _superset_sums(v: np.ndarray) -> np.ndarray:
     """``out[..., m] = sum of v[..., p] over every bitmask p containing m`` (zeta transform, last axis)."""
     out = np.array(v)
@@ -114,64 +109,6 @@ def _superset_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Link weights per outcome, ``diag(w[outcome]) @ M`` in a ring product: an
-#: edge's ``_OUTCOME_ETA / 4``, a path's closing link through index 0, and a
-#: padding slot that reads 1 for outcome 0 and 0 for outcome 1.  A ring slot
-#: is ``5 * link + matrix``, its row of the table of ``diag(w) @ M`` over
-#: these links and the matrices ``[R1, R1.T, R2, R2.T, I]`` (:func:`_ring_products`).
-_LINK_WEIGHTS = np.stack([_OUTCOME_ETA / 4.0, [[1.0, 0, 0, 0], [0, 0, 0, 0]], [[1.0] * 4, [0] * 4]])
-_EDGE, _VIRTUAL, _PAD = 0, 5, 10
-_IDENTITY = 4
-
-
-class _Chain(NamedTuple):
-    """A graph's pattern as ring products (see :func:`_pattern_chain`)."""
-
-    rings: tuple        # per component, its slots' table indices in walk order
-    local: np.ndarray   # (component, 2**edges) ring-outcome index of each edge bitmask
-
-
-@lru_cache(maxsize=None)
-def _pattern_chain(graph: MeasurementGraph) -> _Chain:
-    """The graph's components as rings of (link, copy) slots, compiled once per graph.
-
-    Every mode lies on at most one edge, so a component is a ring or a
-    path over its copies.  Its pattern entry for edge outcomes A is
-    Tr(D_{A_1} M_1 D_{A_2} M_2 ...): a walk enters each copy through one
-    mode and leaves through the other, ``M`` is the copy's R entered at
-    its ``a`` mode and R.T entered at ``b``, and ``D`` weighs the link it
-    entered by (:data:`_LINK_WEIGHTS`).  A path starts at a free mode and
-    closes through a virtual link fixed at index 0; a within-copy edge is
-    a ring of one.  Slot k's outcome is bit k of the ring's output index,
-    which ``local`` reads for every edge bitmask.
-    """
-    partner, edge = {}, {}
-    for k, (i, j) in enumerate(graph.edges):
-        partner[i], partner[j], edge[i], edge[j] = j, i, k, k
-    copies = sorted({m // 2 for m in partner})
-    # paths start at a free mode, so every path is walked whole before the rings
-    starts = [2 * c + (2 * c in partner) for c in copies if 2 * c not in partner or 2 * c + 1 not in partner]
-    rings, links, seen = [], [], set()
-    for start in starts + [2 * c for c in copies]:
-        if start // 2 in seen:
-            continue
-        slots, ring_links = [], []
-        mode, link = start, edge.get(start, -1)
-        while True:
-            seen.add(mode // 2)
-            slots.append((_EDGE if link >= 0 else _VIRTUAL) + 2 * graph.layout.copies[mode // 2] - 2 + mode % 2)
-            ring_links.append(link)
-            out = mode ^ 1
-            if out not in partner or partner[out] == start:
-                break
-            mode, link = partner[out], edge[out]
-        rings.append(tuple(slots))
-        links.append(ring_links)
-    masks = np.arange(2**graph.n_edges)
-    local = np.array([sum(((masks >> k) & 1) << s for s, k in enumerate(ks) if k >= 0) for ks in links])
-    return _Chain(tuple(rings), local)
-
-
 class _ChainStack(NamedTuple):
     """Ring products of a stack of graphs, one pattern row per graph (see :func:`_stack_chains`)."""
 
@@ -181,14 +118,14 @@ class _ChainStack(NamedTuple):
 
 
 def _stack_chains(graphs) -> _ChainStack:
-    """The graphs' :func:`_pattern_chain` rings as one batch, padded to the longest ring.
+    """The graphs' rings (:func:`graphs._ring_chain`) as one batch, padded to the longest ring.
 
     A padding slot carries I and reads 0 for outcome 1, so a padded
     ring's first ``2**slots`` outputs are its own.  A graph gathers one
     output per component and takes their product: a component it lacks
     reads 1.0, and an edge bitmask beyond its edges reads 0.0.
     """
-    chains = [_pattern_chain(g) for g in graphs]
+    chains = [_ring_chain(g) for g in graphs]
     rings = [ring for chain in chains for ring in chain.rings]
     length = max(map(len, rings))
     slots = np.array([ring + (_PAD + _IDENTITY,) * (length - len(ring)) for ring in rings])

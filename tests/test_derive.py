@@ -1,4 +1,5 @@
 """Recovering the graph-probability representations and their counts."""
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import qoverlap.derive as derive
+from qoverlap import cli
 from qoverlap.core import PAULI2, ModeLayout, random_state, to_correlation, trace_tensor
 from qoverlap.derive import (
     EXACT,
@@ -34,6 +36,7 @@ from qoverlap.graphs import (
     connected_components,
     enumerate_matchings,
     exact_numerators,
+    exact_probabilities,
     matching_orbits,
     probability_exact,
 )
@@ -448,16 +451,22 @@ class TestCompressedSolves:
         assert build_basis(4) is build_basis(4)
 
     def test_integer_probabilities_match_fraction_reference(self):
+        """Every class on three rational pairs, as one batch and one graph and pair at a time."""
         basis = design(4)[0]
         rng = np.random.default_rng(11)
+        pairs = []
         for _ in range(3):
             q1, q2 = _rational_state(rng), _rational_state(rng)
             R1, R2 = _rat_correlation(q1), _rat_correlation(q2)
             assert R1 == fraction_correlation(q1) and R2 == fraction_correlation(q2)
-            N1, N2 = exact_numerators(R1), exact_numerators(R2)
-            assert len(basis.graphs) == 237
-            for g in basis.graphs:
+            pairs.append((R1, R2))
+        numerators = [(exact_numerators(R1), exact_numerators(R2)) for R1, R2 in pairs]
+        assert len(basis.graphs) == 237
+        batch = exact_probabilities(basis.graphs, numerators)
+        for g, row in zip(basis.graphs, batch):
+            for (R1, R2), (N1, N2), got in zip(pairs, numerators, row):
                 want = fraction_probability(g, R1, R2)
+                assert got == want, str(g)
                 assert probability_exact(g, R1, R2) == want, str(g)
                 assert probability_exact(g, N1, N2) == want, str(g)
 
@@ -672,20 +681,24 @@ class TestCertification:
             assert not _certified(oracle, fit.basis, moved, 42), fit.basis.monomial_string(k)
 
     def test_one_derivation_evaluates_each_class_once_per_pair(self, monkeypatch):
+        """Each class is evaluated at most once, on every certification pair in one batch."""
         calls = []
-        exact = derive.probability_exact
+        exact = derive.exact_probabilities
 
-        def counted(*args):
-            calls.append(args[0])
-            return exact(*args)
+        def counted(graphs, pairs):
+            calls.append((tuple(graphs), len(pairs)))
+            return exact(graphs, pairs)
 
-        monkeypatch.setattr(derive, "probability_exact", counted)
+        monkeypatch.setattr(derive, "exact_probabilities", counted)
         derive._certification_pairs.cache_clear()
         derive._exact_probabilities.cache_clear()
         fits = derive_targets(seed=42)
         classes = {fit.basis.graphs[i].key() for fit in fits.values() for i in fit.support_graphs()}
         assert all(fit.exact_certified for fit in fits.values() if fit.entries)
-        assert len(calls) <= EXACT_CHECK_PAIRS * len(classes)
+        evaluated = Counter(g.key() for graphs, _ in calls for g in graphs)
+        assert classes <= set(evaluated)
+        assert max(evaluated.values()) == 1
+        assert {n for _, n in calls} == {EXACT_CHECK_PAIRS}
 
 
 def test_moment_tables_at_a_held_out_seed():
@@ -694,6 +707,20 @@ def test_moment_tables_at_a_held_out_seed():
     fits = derive_targets(["pi2", "pi3", "pi4"], seed=7)
     for name, fit in fits.items():
         assert "\n" + fit.as_table() + "\n" in golden, name
+
+
+def test_every_table_and_the_claim_report_at_a_held_out_seed(tmp_path):
+    """At seed 11 ``derive --target all``, pi4 fitted for real, prints the golden tables and claim report.
+
+    Only the header line, which names the seed, and the ``# residual``
+    lines, whose last digits follow the ensemble, are left out.
+    """
+    golden = (Path(__file__).resolve().parent.parent / "perfbench" / "golden_tables.txt").read_text()
+    out = tmp_path / "derive.txt"
+    assert cli.main(["derive", "--target", "all", "--seed", "11", "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0].endswith("seed 11") and not lines[1]
+    assert "\n".join(line for line in lines[2:] if not line.startswith("# residual ")) == golden
 
 
 class TestClaims:

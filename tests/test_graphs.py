@@ -9,8 +9,6 @@ from qoverlap.core import ModeLayout, ginibre_states, random_state, to_correlati
 from qoverlap.graphs import (
     MeasurementGraph,
     _connected_spanning,
-    _copy_operands,
-    _einsum_recipe,
     _exchange_minimum,
     _normalize_edges,
     connected_components,
@@ -22,8 +20,12 @@ from qoverlap.graphs import (
     matching_partners,
     probability_batch,
     probability_exact,
+    probability_matrix,
 )
+from qoverlap.derive import build_basis
 from qoverlap.interferometer import find_embedding, graph_probability
+
+from einsum_reference import einsum_probability
 
 
 def _rand_R(rng):
@@ -245,17 +247,46 @@ class TestProbabilities:
                 assert -1e-12 <= p <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("batch", [56, 500, 600, 1400])
-    def test_cached_path_is_bit_identical(self, batch):
-        """The cached path reproduces ``optimize=True`` re-planned on every call."""
+    def test_ring_halves_match_the_einsum_reference(self, batch):
+        """Both design contexts' class matrices equal each class's own greedy einsum to 1e-15, with the same zeros.
+
+        The shared ring halves sum in another order than the einsum, so
+        the last bits may differ; a class's one-graph call gives its row
+        of the matrix bit for bit.
+        """
         rng = np.random.default_rng(batch)
         R1s = np.stack([_rand_R(rng) for _ in range(batch)])
         R2s = np.stack([_rand_R(rng) for _ in range(batch)])
+        for copies in (2, 4):
+            basis = build_basis(copies)
+            for g, got in zip(basis.graphs, basis.graph_matrix(R1s, R2s)):
+                want = einsum_probability(g, R1s, R2s)
+                assert np.abs(got - want).max() <= 1e-15, str(g)
+                assert np.array_equal(got == 0.0, want == 0.0), str(g)
+                assert np.array_equal(probability_batch(g, R1s, R2s), got), str(g)
+
+    def test_class_matrix_matches_dense_projection(self):
+        """One class of every shape against the dense route, on Ginibre, pure and basis pairs.
+
+        A shape is a layout with a ring or a path, and a within-copy edge
+        or none (a within-copy edge is a one-copy ring).
+        """
+        shapes = {}
         for g in enumerate_classes(4):
-            spec, copy_plan = _einsum_recipe(g)
-            operands = [np.array([1.0, -1.0, -1.0, -1.0])] * g.n_edges
-            operands += _copy_operands(copy_plan, R1s, R2s)
-            planned = np.einsum(spec, *operands, optimize=True) / 4.0**g.n_edges
-            assert np.array_equal(probability_batch(g, R1s, R2s), planned), str(g)
+            ring = g.n_edges == g.n_copies
+            within = any(i // 2 == j // 2 for i, j in g.edges)
+            shapes.setdefault((g.counts(), ring, within), g)
+        assert {(ring, within) for _, ring, within in shapes} == {(True, True), (True, False), (False, False)}
+        assert {sum(counts) for counts, _, _ in shapes} == {1, 2, 3, 4}
+        graphs = list(shapes.values())
+        rng = np.random.default_rng(17)
+        pairs = [tuple(random_state(4, measure, rng) for _ in range(2)) for measure in ("ginibre", "pure")]
+        pairs.append((np.diag([0, 1, 0, 0]).astype(complex), np.diag([0, 0, 1, 0]).astype(complex)))
+        R1s, R2s = (np.stack([to_correlation(pair[k]) for pair in pairs]) for k in (0, 1))
+        P = probability_matrix(graphs, R1s, R2s)
+        for g, row in zip(graphs, P):
+            for p, (rho1, rho2) in zip(row, pairs):
+                assert p == pytest.approx(graph_probability(g, rho1, rho2, method="dense"), abs=1e-12), str(g)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)

@@ -9,17 +9,14 @@ from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import _symbolic_support, build_basis
 from qoverlap.graphs import (
     MeasurementGraph,
-    _copy_operands,
-    _einsum_recipe,
+    _OUTCOME_ETA,
     connected_components,
     enumerate_classes,
-    probability_batch,
 )
 from qoverlap.interferometer import (
     PATTERN_TOL,
     STAT_NAMES,
     PlanError,
-    _OUTCOME_ETA,
     _canonical_key,
     _chain_patterns,
     _form_arrays,
@@ -37,6 +34,8 @@ from qoverlap.interferometer import (
 )
 from qoverlap.overlaps import characteristic_roots, moments
 
+from einsum_reference import copy_operands, einsum_probability, einsum_recipe
+
 
 @pytest.fixture(scope="module")
 def pair():
@@ -47,11 +46,11 @@ def pair():
 def pattern_contraction(graph):
     """Subscripts and copy plan of a graph's pattern as one einsum, the reference the ring chain is checked against.
 
-    :func:`_einsum_recipe`'s subscripts with an outcome axis added to
+    :func:`einsum_recipe`'s subscripts with an outcome axis added to
     every edge factor; the outputs list edge E-1 first, so the flattened
     result is indexed by edge bitmask.
     """
-    spec, copy_plan = _einsum_recipe(graph)
+    spec, copy_plan = einsum_recipe(graph)
     subs = spec.split("->")[0].split(",")
     outcomes = "ABCDEFGH"[: graph.n_edges]
     terms = [o + e for o, e in zip(outcomes, subs[: graph.n_edges])] + subs[graph.n_edges :]
@@ -82,7 +81,7 @@ def reference_pattern(graph, R1, R2):
     """Every edge subset contracted on its own, then inclusion-exclusion."""
     E = graph.n_edges
     subset = np.array([
-        probability_batch(
+        einsum_probability(
             MeasurementGraph(graph.layout, [graph.edges[k] for k in range(E) if m >> k & 1]),
             R1[None],
             R2[None],
@@ -331,7 +330,7 @@ class TestGraphEstimates:
 def einsum_pattern(member, R1, R2):
     """One member's pattern, planned by ``np.einsum`` on its own, then checked, floored and normalized."""
     spec, copy_plan = pattern_contraction(member)
-    operands = [_OUTCOME_ETA] * member.n_edges + _copy_operands(copy_plan, R1[None], R2[None])
+    operands = [_OUTCOME_ETA] * member.n_edges + copy_operands(copy_plan, R1[None], R2[None])
     pattern = np.einsum(spec, *operands, optimize="greedy").reshape(-1) / 4.0**member.n_edges
     if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
         raise ValueError(

@@ -38,7 +38,7 @@ print(json.dumps(sizes))
 
 
 def test_cli_import_builds_no_cache():
-    """Importing the CLI plans no contraction and builds no program or parser: all wait for first use."""
+    """Importing the CLI compiles no ring and builds no program or parser: all wait for first use."""
     src = str(Path(qoverlap.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -46,8 +46,8 @@ def test_cli_import_builds_no_cache():
     )
     sizes = json.loads(done.stdout)
     assert {
-        "qoverlap.graphs._greedy_path",
-        "qoverlap.interferometer._pattern_chain",
+        "qoverlap.graphs._ring_chain",
+        "qoverlap.graphs._ring_halves",
         "qoverlap.cli._parser",
     } <= set(sizes)
     assert not any(sizes.values()), sizes
@@ -67,8 +67,23 @@ def _places(text: str) -> set[tuple[str, str | None]]:
 
 
 def test_einsum_path_only_in_the_contraction_engine():
-    """``np.einsum_path`` appears in the package only inside ``graphs._greedy_path``."""
-    assert _places("einsum_path") == {("graphs.py", "_greedy_path")}
+    """The contraction engine is the ring products, which plan no einsum: ``einsum_path`` appears nowhere in the package."""
+    assert _places("einsum_path") == set()
+
+
+def test_one_ring_walk():
+    """``graphs._ring_chain`` is the package's only ring walk: the step that leaves a copy through
+    its other mode is written there alone, and neither ``interferometer.py`` nor ``derive.py``
+    defines a ring compiler of its own."""
+    assert _places("^ 1") == {("graphs.py", "_ring_chain")}
+    root = Path(qoverlap.__file__).resolve().parent
+    for name in ("interferometer.py", "derive.py"):
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse((root / name).read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & {"_ring_chain", "_pattern_chain", "_Chain", "_ring_halves"}, name
 
 
 def test_one_quartic_solver_and_one_least_squares_solve():
@@ -173,9 +188,11 @@ DECLARED = {"numpy", "pytest", "hypothesis", "qoverlap"}
 
 
 def test_imports_only_declared_dependencies():
-    """``src/`` and ``tests/`` import the standard library and the declared packages only:
-    scipy or mpmath may be installed, but ``pyproject.toml`` does not declare them."""
+    """``src/`` and ``tests/`` import the standard library, the declared packages and the tests'
+    own helper modules only: scipy or mpmath may be installed, but ``pyproject.toml`` does not
+    declare them."""
     root = Path(__file__).resolve().parent.parent
+    helpers = {path.stem for path in (root / "tests").glob("*.py")}
     found = set()
     for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -186,5 +203,8 @@ def test_imports_only_declared_dependencies():
             else:
                 continue
             found |= {(path.relative_to(root).as_posix(), top) for top in tops}
-    undeclared = sorted((f, top) for f, top in found if top not in sys.stdlib_module_names | DECLARED)
+    allowed = sys.stdlib_module_names | DECLARED
+    undeclared = sorted(
+        (f, top) for f, top in found if top not in allowed | (helpers if f.startswith("tests/") else set())
+    )
     assert not undeclared, undeclared
