@@ -731,14 +731,12 @@ def fit_coefficients(
     entries: dict[int, Fraction | float] = {}
     all_rational = True
     for k, c in zip(support, coef):
-        if abs(c) < 1e-10:
-            continue
         snapped = Fraction(round(3 * c), 3)
-        if abs(c - float(snapped)) < SNAP_TOL:
-            entries[k] = snapped
-        else:
+        if abs(c - float(snapped)) >= SNAP_TOL:
             entries[k] = float(c)
             all_rational = False
+        elif snapped:  # a coefficient that snaps to 0 leaves the fit
+            entries[k] = snapped
 
     # Certify exactly on rational states; a mismatch keeps the float fit.
     exact_certified = False

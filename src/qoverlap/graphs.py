@@ -6,10 +6,10 @@ graph's statistic is the probability that every edge fires at once.
 This module enumerates graphs, reduces them to canonical classes under
 copy exchange, and evaluates their probabilities, in floats and exactly,
 plus the combinatorial counts behind the class bookkeeping.  A connected
-graph is a ring or a path over its copies, so its probability is the
-trace of a product of their correlation matrices (Ekert et al., PRL 88,
-217901, 2002).  :func:`_ring_chain` compiles those rings once per graph
-for the interferometer's joint patterns and for every probability here.
+graph is a ring or a path over its copies, so each edge outcome's
+probability is the trace of a product of their correlation matrices and
+outcome weights (Ekert et al., PRL 88, 217901, 2002).  :func:`_ring_sums`
+evaluates them all: the joint patterns and every probability here.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "enumerate_classes",
     "probability_matrix",
     "probability_batch",
+    "pattern_rows",
     "exact_probabilities",
     "probability_exact",
     "Numerators",
@@ -309,42 +310,30 @@ def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
 # ---------------------------------------------------------------------------
 
 
-#: Edge factor per outcome, row 0 "not antibunched", row 1 "antibunched":
-#: ``1 - P^- = (1/4) sum_i (4 delta_i0 - ETA[i]) sigma_i x sigma_i``.
-_OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
+#: Integer link weights, one row per outcome: an edge's ``4 (1 - P^-)`` and
+#: ``4 P^-``, ``P^- = (1/4) sum_i ETA[i] sigma_i x sigma_i``, and a path's
+#: closing link's single e_0.  A ring slot is ``4 * link + matrix``, its
+#: matrix one of ``[R1, R1.T, R2, R2.T]``.
+_WEIGHTS = (np.stack([4 * (np.arange(4) == 0) - ETA, ETA]).astype(int), np.eye(1, 4, dtype=int))
+_EDGE, _VIRTUAL = 0, 4
 
-#: Link weights per outcome, ``diag(w[outcome]) @ M`` in a ring product: an
-#: edge's ``_OUTCOME_ETA / 4``, a path's closing link through index 0, and a
-#: padding slot that reads 1 for outcome 0 and 0 for outcome 1.  A ring slot
-#: is ``5 * link + matrix``, its matrix one of ``[R1, R1.T, R2, R2.T, I]``.
-_LINK_WEIGHTS = np.stack([_OUTCOME_ETA / 4.0, [[1.0, 0, 0, 0], [0, 0, 0, 0]], [[1.0] * 4, [0] * 4]])
-_EDGE, _VIRTUAL, _PAD = 0, 5, 10
-_IDENTITY = 4
-
-#: Integer weights of an edge (times 4) and of a closing link when every edge antibunches.
-_ANTIBUNCHED = np.stack([4 * _LINK_WEIGHTS[0, 1], _LINK_WEIGHTS[1, 0]]).astype(int)
-
-
-class _Chain(NamedTuple):
-    """A graph's components as ring products (see :func:`_ring_chain`)."""
-
-    rings: tuple        # per component, its slots' codes in walk order
-    local: np.ndarray   # (component, 2**edges) ring-outcome index of each edge bitmask
+#: Entries of one gathered operand of :func:`_ring_sums`' product-sum, the bound on its chunks of pairs.
+_CHUNK = 2**17
 
 
 @lru_cache(maxsize=None)
-def _ring_chain(graph: MeasurementGraph) -> _Chain:
+def _ring_chain(graph: MeasurementGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The graph's components as rings of (link, copy) slots, compiled once per graph.
 
     Every mode lies on at most one edge, so a component is a ring or a
     path over its copies.  Its pattern entry for edge outcomes A is
-    Tr(D_{A_1} M_1 D_{A_2} M_2 ...): a walk enters each copy through one
-    mode and leaves through the other, ``M`` is the copy's R entered at
-    its ``a`` mode and R.T entered at ``b``, and ``D`` weighs the link it
-    entered by (:data:`_LINK_WEIGHTS`).  A path starts at a free mode and
-    closes through a virtual link fixed at index 0; a within-copy edge is
-    a ring of one.  Slot k's outcome is bit k of the ring's output index,
-    which ``local`` reads for every edge bitmask.
+    Tr(D_{A_1} M_1 D_{A_2} M_2 ...) / 4**edges: a walk enters each copy
+    through one mode and leaves through the other, ``M`` is the copy's R
+    entered at its ``a`` mode and R.T entered at ``b``, and ``D`` is the
+    diagonal of the link's weights (:data:`_WEIGHTS`).  A path starts at
+    a free mode and closes through a link of one outcome; a within-copy
+    edge is a ring of one.  Each component is its slots' codes and the
+    edges its edge slots are entered through, both in walk order.
     """
     partner, edge = {}, {}
     for k, (i, j) in enumerate(graph.edges):
@@ -352,7 +341,7 @@ def _ring_chain(graph: MeasurementGraph) -> _Chain:
     copies = sorted({m // 2 for m in partner})
     # paths start at a free mode, so every path is walked whole before the rings
     starts = [2 * c + (2 * c in partner) for c in copies if 2 * c not in partner or 2 * c + 1 not in partner]
-    rings, links, seen = [], [], set()
+    rings, seen = [], set()
     for start in starts + [2 * c for c in copies]:
         if start // 2 in seen:
             continue
@@ -361,77 +350,142 @@ def _ring_chain(graph: MeasurementGraph) -> _Chain:
         while True:
             seen.add(mode // 2)
             slots.append((_EDGE if link >= 0 else _VIRTUAL) + 2 * graph.layout.copies[mode // 2] - 2 + mode % 2)
-            ring_links.append(link)
+            ring_links += [link] if link >= 0 else []
             out = mode ^ 1
             if out not in partner or partner[out] == start:
                 break
             mode, link = partner[out], edge[out]
-        rings.append(tuple(slots))
-        links.append(ring_links)
-    masks = np.arange(2**graph.n_edges)
-    local = np.array([sum(((masks >> k) & 1) << s for s, k in enumerate(ks) if k >= 0) for ks in links])
-    return _Chain(tuple(rings), local)
+        rings.append((tuple(slots), tuple(ring_links)))
+    return tuple(rings)
+
+
+class _RingPlan(NamedTuple):
+    """How :func:`_ring_sums` evaluates a tuple of graphs (see :func:`_ring_plan`)."""
+
+    weights: np.ndarray   # (table row, 4) link weights
+    matrices: np.ndarray  # (table row,) index into [R1, R1.T, R2, R2.T]
+    products: tuple       # per half length above 1, (length, half) table rows
+    left: np.ndarray      # per ring sum, its left half in the stacked halves
+    right: np.ndarray     # and its right half, read transposed
+    gather: np.ndarray    # (graph, component, width) ring sum index, then one for 1 and one for 0
+    scale: np.ndarray     # (graph, 1) 4.0**edges
 
 
 @lru_cache(maxsize=None)
-def _ring_halves(graphs: tuple[MeasurementGraph, ...]) -> tuple[tuple, tuple]:
-    """The graphs' rings (:func:`_ring_chain`) cut after their first ``ceil(L / 2)`` slots.
+def _ring_plan(graphs: tuple[MeasurementGraph, ...], every: bool) -> _RingPlan:
+    """The graphs' rings (:func:`_ring_chain`) cut into shared halves, for every outcome or the antibunched one.
 
-    Returns the distinct halves, each ``(slots, side)`` with side 1 for a
-    right half, and per graph one ``(left, right)`` pair of half indices
-    per ring.  A ring of one has the empty half, the identity, on its right.
+    The slot table has one row per slot code and outcome: both of an
+    edge's with ``every``, else its last alone.  A ring is cut after
+    ``ceil(L / 2)`` slots, and each distinct half is stacked once per
+    outcome assignment of its slots, the first edge slot's outcome the
+    lowest bit: after the table rows (one slot) and the identity (none)
+    come the products.  A ring's sums run over its right halves, then
+    its left ones, so a sum's offset within the ring holds the ring's
+    edge outcomes in walk order.  ``gather`` reads each graph at every
+    edge bitmask below ``width`` (``2**max_edges`` with ``every``, else
+    the all-antibunched entry alone): per component, a ring sum, 1 for a
+    component the graph lacks and 0 beyond its ``2**edges`` entries.
     """
-    index: dict[tuple, int] = {}
-    rings = []
-    for g in graphs:
-        pairs = []
-        for ring in _ring_chain(g).rings:
-            cut = (len(ring) + 1) // 2
-            pairs.append(tuple(index.setdefault(half, len(index)) for half in ((ring[:cut], 0), (ring[cut:], 1))))
-        rings.append(tuple(pairs))
-    return tuple(index), tuple(rings)
+    table, rows = [], {}
+    for code in range(8):
+        link = _WEIGHTS[code // 4] if every else _WEIGHTS[code // 4][-1:]
+        rows[code] = range(len(table), len(table) + len(link))
+        table += [(w, code % 4) for w in link]
+
+    def variants(half):
+        return [v[::-1] for v in product(*(rows[code] for code in half[::-1]))]
+
+    chains = [_ring_chain(g) for g in graphs]
+    rings = dict.fromkeys(ring for chain in chains for ring, _ in chain)
+    for ring in rings:
+        cut = (len(ring) + 1) // 2
+        rings[ring] = variants(ring[:cut]), variants(ring[cut:])
+    products = sorted(dict.fromkeys(v for pair in rings.values() for side in pair for v in side if len(v) > 1), key=len)
+    index = {v: i for i, v in enumerate([(r,) for r in range(len(table))] + [()] + products)}
+    left, right, first = [], [], {}
+    for ring, (lefts, rights) in rings.items():
+        first[ring] = len(left)
+        for r, l in product(rights, lefts):
+            left.append(index[l])
+            right.append(index[r])
+    width = 2 ** max((g.n_edges for g in graphs), default=0) if every else 1
+    gather = np.full((len(graphs), max(map(len, chains), default=0), width), len(left))
+    masks = np.arange(width)
+    for row, (g, chain) in enumerate(zip(graphs, chains)):
+        for c, (ring, edges) in enumerate(chain):
+            gather[row, c] = first[ring] + sum(((masks >> k) & 1) << p for p, k in enumerate(edges))
+        gather[row, :, 2**g.n_edges :] = len(left) + 1
+    return _RingPlan(
+        np.array([w for w, _ in table]),
+        np.array([m for _, m in table]),
+        tuple(np.array([v for v in products if len(v) == n]).T for n in sorted({len(v) for v in products})),
+        np.array(left),
+        np.array(right),
+        gather,
+        4.0 ** np.array([[g.n_edges] for g in graphs]),
+    )
 
 
-def _ring_sums(graphs: tuple[MeasurementGraph, ...], R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
-    """``4**edges`` times every graph's probability on the batch: ``(graphs, S)``, in the operands' dtype.
+def _ring_sums(plan: _RingPlan, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
+    """``4**edges`` times the entries of the graphs of ``plan`` on the batch: ``(graphs, width, S)``, in the operands' dtype.
 
-    With every edge antibunched, a ring's pattern entry (:func:`_ring_chain`)
-    is Tr(W_1 ... W_L) / 4 per edge, W = diag(w) M with the integer weights
-    :data:`_ANTIBUNCHED`, and a graph's probability is the product over its
-    rings.  Each distinct half (:func:`_ring_halves`) is one batched
-    ``matmul``, shared by all the graphs, and a ring is one product-sum of
-    its left half and its transposed right half.  Integer operands give
+    The package's one ring product-sum: a ring's entry is Tr(W_1 ...
+    W_L) with W = diag(w) M (:func:`_ring_chain`), a graph's the product
+    over its rings.  Per chunk of pairs, the slot table is one broadcast
+    product, each half length one batched ``matmul`` per further slot,
+    every ring sum one product-sum of a left and a transposed right
+    half, and the entries one gather and product.  Integer operands give
     exact integers; on floats, dividing by the power of two 4**edges
-    afterwards changes no bit.
+    changes no bit.  In int64 no partial sum may reach 2**63: with every
+    edge antibunched (weights of magnitude 1) ``(4 max|N|)**copies <
+    2**63`` suffices, but the not-antibunched weight 3 needs ``(12
+    max|N|)**copies < 2**63``.
     """
-    halves, rings = _ring_halves(graphs)
-    mats = (R1s, R1s.swapaxes(1, 2), R2s, R2s.swapaxes(1, 2))
-    weights = _ANTIBUNCHED.astype(R1s.dtype)[:, :, None]
-    slots = {}
-    products = []
-    for half, side in halves:
-        for code in half:
-            if code not in slots:
-                link, matrix = divmod(code, 5)
-                slots[code] = weights[link] * mats[matrix]
-        product = slots[half[0]] if half else np.broadcast_to(np.eye(4, dtype=R1s.dtype), R1s.shape)
-        for code in half[1:]:
-            product = product @ slots[code]
-        products.append(np.ascontiguousarray(product.swapaxes(1, 2)) if side else product)
-    out = np.ones((len(graphs), len(R1s)), dtype=R1s.dtype)
-    for row, pairs in zip(out, rings):
-        for left, right in pairs:
-            row *= np.einsum("sij,sij->s", products[left], products[right])
+    weights = plan.weights.astype(R1s.dtype)[:, None, :, None]
+    out = np.empty(plan.gather.shape[::2] + (len(R1s),), dtype=R1s.dtype)
+    step = max(1, _CHUNK // (16 * max(len(plan.left), 1)))
+    # built once, not per chunk: the empty half and the buffers the gathered operands are
+    # taken into ("clip" mode: the indices are in range, and "raise" would buffer the copy)
+    eye = np.eye(4, dtype=R1s.dtype) * np.ones((1, min(step, len(R1s)), 1, 1), dtype=R1s.dtype)
+    left, right = np.empty((2, len(plan.left), min(step, len(R1s)), 16), dtype=R1s.dtype)
+    for lo in range(0, len(R1s), step):
+        R1, R2 = R1s[lo : lo + step], R2s[lo : lo + step]
+        table = weights * np.concatenate((R1, R1.swapaxes(1, 2), R2, R2.swapaxes(1, 2))).reshape(4, len(R1), 4, 4)[plan.matrices]
+        halves = [table, eye[:, : len(R1)]]
+        for rows in plan.products:
+            half = table[rows[0]]
+            for r in rows[1:]:
+                half = half @ table[r]
+            halves.append(half)
+        halves = np.concatenate(halves)
+        flipped = halves.swapaxes(2, 3).reshape(len(halves), len(R1), 16)
+        sums = np.zeros((len(plan.left) + 2, len(R1)), dtype=R1s.dtype)
+        sums[-2] = 1
+        halves.reshape(flipped.shape).take(plan.left, axis=0, out=left[:, : len(R1)], mode="clip")
+        flipped.take(plan.right, axis=0, out=right[:, : len(R1)], mode="clip")
+        np.einsum("csk,csk->cs", left[:, : len(R1)], right[:, : len(R1)], out=sums[:-2])
+        out[:, :, lo : lo + step] = sums[plan.gather].prod(axis=1)
     return out
 
 
 def probability_matrix(graphs, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
     """Every graph's probability on a batch of (S, 4, 4) correlation-matrix pairs: ``(graphs, S)``, from shared ring halves."""
-    graphs = tuple(graphs)
-    R1s = np.asarray(R1s, dtype=float)
-    R2s = np.asarray(R2s, dtype=float)
-    edges = np.array([g.n_edges for g in graphs])
-    return _ring_sums(graphs, R1s, R2s) / 4.0 ** edges[:, None]
+    plan = _ring_plan(tuple(graphs), False)
+    R1s, R2s = (np.asarray(R, dtype=float) for R in (R1s, R2s))
+    return _ring_sums(plan, R1s, R2s)[:, 0] / plan.scale
+
+
+def pattern_rows(graphs, R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
+    """Every graph's joint edge-outcome distribution on one correlation-matrix pair, unchecked: ``(graphs, 2**max_edges)``.
+
+    Entry ``m`` of a graph's row is the probability that exactly the
+    edges in bitmask ``m`` antibunch, as :func:`_ring_sums` computes it;
+    entries beyond the graph's ``2**edges`` are 0.
+    """
+    plan = _ring_plan(tuple(graphs), True)
+    R1, R2 = (np.asarray(R, dtype=float)[None] for R in (R1, R2))
+    return _ring_sums(plan, R1, R2)[:, :, 0] / plan.scale
 
 
 def probability_batch(graph: MeasurementGraph, R1s: np.ndarray, R2s: np.ndarray) -> np.ndarray:
@@ -465,7 +519,7 @@ def exact_probabilities(graphs, pairs) -> tuple[tuple[Fraction, ...], ...]:
     N = np.array([[R.N for R in pair] for pair in pairs])
     top = max((len(g.touched_copies()) for g in graphs), default=0)
     dtype = np.int64 if (4 * max(int(np.abs(N).max()), 1)) ** top < 2**63 else object
-    sums = _ring_sums(graphs, N[:, 0].astype(dtype), N[:, 1].astype(dtype))
+    sums = _ring_sums(_ring_plan(graphs, False), N[:, 0].astype(dtype), N[:, 1].astype(dtype))[:, 0]
     out = []
     for g, row in zip(graphs, sums):
         states = [g.layout.copies[c] for c in g.touched_copies()]

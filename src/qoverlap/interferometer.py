@@ -4,16 +4,14 @@ A measurement graph is realized by preparing its copies and jointly
 measuring the two-outcome observable {P-, 1-P-} on every edge; the
 all-singlet coincidence frequency estimates the graph probability.  One
 prepared configuration member yields the joint outcome pattern of all its
-edges, so every sub-graph statistic comes out of the same counts.  Each
-connected component of a member is a ring or a path over its copies, so
-its pattern is a trace of a short product of 4x4 correlation matrices and
-outcome weights; the simulation computes every member's ring products as
-one batched ``matmul`` chain, padded to the longest ring.  Pattern entries
-at or below ``PATTERN_TOL`` are set to exactly 0, so rounding noise around
-a true 0, which differs with the summation order, never reaches the
-sampler.  It draws every member's counts in one multinomial call over the
-zero-padded pattern stack, reads every sub-graph frequency and covariance
-off one superset sum of the counts, and propagates shot noise through the
+edges, so every sub-graph statistic comes out of the same counts.  Every
+member's pattern row comes from :func:`graphs.pattern_rows`, the package's
+one ring evaluator; this module checks the rows, and sets entries at or
+below ``PATTERN_TOL`` to exactly 0, so rounding noise around a true 0,
+which differs with the summation order, never reaches the sampler.  It
+draws every member's counts in one multinomial call over the zero-padded
+pattern stack, reads every sub-graph frequency and covariance off one
+superset sum of the counts, and propagates shot noise through the
 distance formulas.
 
 A "photon pair" is one two-qubit copy; hardware-level boson statistics
@@ -30,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import __version__, assemble, swap_modes, to_correlation
-from .graphs import MeasurementGraph, _IDENTITY, _LINK_WEIGHTS, _PAD, _ring_chain, probability_batch
+from .graphs import MeasurementGraph, pattern_rows, probability_batch
 from .oracle import distance_set
 from .overlaps import P_MINUS, TARGETS, characteristic_roots
 
@@ -109,73 +107,23 @@ def _superset_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ChainStack(NamedTuple):
-    """Ring products of a stack of graphs, one pattern row per graph (see :func:`_stack_chains`)."""
+def _chain_patterns(graphs: tuple, R1, R2) -> np.ndarray:
+    """Every graph's pattern distribution, one zero-padded row each (:func:`graphs.pattern_rows`), checked.
 
-    slots: np.ndarray    # (ring, slot) table index, rings padded to the longest
-    gather: np.ndarray   # (graph, component, 2**max_edges) index into the ring outputs, then 0.0 and 1.0
-    widths: np.ndarray   # 2**edges per graph
-
-
-def _stack_chains(graphs) -> _ChainStack:
-    """The graphs' rings (:func:`graphs._ring_chain`) as one batch, padded to the longest ring.
-
-    A padding slot carries I and reads 0 for outcome 1, so a padded
-    ring's first ``2**slots`` outputs are its own.  A graph gathers one
-    output per component and takes their product: a component it lacks
-    reads 1.0, and an edge bitmask beyond its edges reads 0.0.
-    """
-    chains = [_ring_chain(g) for g in graphs]
-    rings = [ring for chain in chains for ring in chain.rings]
-    length = max(map(len, rings))
-    slots = np.array([ring + (_PAD + _IDENTITY,) * (length - len(ring)) for ring in rings])
-    zero = len(rings) << length
-    widths = np.array([2**g.n_edges for g in graphs])
-    gather = np.full((len(graphs), max(len(c.rings) for c in chains), widths.max()), zero + 1)
-    first = 0
-    for row, (chain, width) in enumerate(zip(chains, widths)):
-        n = len(chain.rings)
-        gather[row, :n, :width] = chain.local + (np.arange(first, first + n)[:, None] << length)
-        gather[row, :, width:] = zero
-        first += n
-    return _ChainStack(slots, gather, widths)
-
-
-def _ring_products(chain: _ChainStack, R1, R2) -> np.ndarray:
-    """The stack's pattern rows as computed, before any check: ``(graphs, 2**max_edges)``.
-
-    One table of ``diag(w) @ M`` per link kind, matrix and outcome, read
-    at every ring's slots; each further slot is one batched ``matmul``
-    whose outcome becomes the new leading bit of the ring's output index;
-    then one trace and one gather.
-    """
-    table = _LINK_WEIGHTS[:, None, :, :, None] * np.stack([R1, R1.T, R2, R2.T, np.eye(4)])[:, None]
-    W = table.reshape(-1, 2, 4, 4)[chain.slots]
-    P = W[:, 0]
-    for k in range(1, W.shape[1]):
-        P = (P[:, None] @ W[:, k, :, None]).reshape(len(W), -1, 4, 4)
-    flat = P.reshape(-1, 16)  # a 4x4 product's diagonal is its flat entries 0, 5, 10 and 15
-    traces = flat[:, 0] + flat[:, 5] + flat[:, 10] + flat[:, 15]
-    return np.append(traces, (0.0, 1.0))[chain.gather].prod(axis=1)
-
-
-def _chain_patterns(chain: _ChainStack, R1, R2) -> np.ndarray:
-    """Every stacked graph's pattern distribution, one zero-padded row each, checked.
-
-    The first row in stack order more negative than ``PATTERN_TOL`` or
+    The first row in graph order more negative than ``PATTERN_TOL`` or
     off unit sum by more than it raises :class:`ValueError`.  Entries at
     or below ``PATTERN_TOL`` are then set to exactly 0 and rows
     normalized, so an entry that is 0 in exact arithmetic reads 0
     whatever the summation order left of it: the multinomial draws no
     random number for it.
     """
-    patterns = _ring_products(chain, R1, R2)
+    patterns = pattern_rows(graphs, R1, R2)
     low, total = patterns.min(axis=1), patterns.sum(axis=1)
     bad = np.flatnonzero((low < -PATTERN_TOL) | (np.abs(total - 1.0) > PATTERN_TOL))
     if bad.size:
         k = bad[0]
         raise ValueError(
-            f"joint pattern distribution invalid: min {patterns[k, : chain.widths[k]].min():.3e}, "
+            f"joint pattern distribution invalid: min {patterns[k, : 2 ** graphs[k].n_edges].min():.3e}, "
             f"sum {total[k]:.12f}"
         )
     patterns[patterns <= PATTERN_TOL] = 0.0
@@ -193,11 +141,11 @@ def pattern_distribution(graph: MeasurementGraph, R1: np.ndarray, R2: np.ndarray
 
     Returns the pattern probabilities indexed by edge bitmask:
     ``pattern[m]`` is the probability that exactly the edges in ``m``
-    antibunch, the graph's ring products checked and floored as a stack
-    of one (:func:`_chain_patterns`).  The probability that at least
+    antibunch, the graph's row checked and floored as a stack of one
+    (:func:`_chain_patterns`).  The probability that at least
     they do is its superset sum, :func:`_superset_sums`.
     """
-    return _chain_patterns(_stack_chains((graph,)), R1, R2)[0]
+    return _chain_patterns((graph,), R1, R2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +327,7 @@ STAT_NAMES = ("o11", "o22", "o12", "o2", "pi3", "pi4")
 class _PlanProgram(NamedTuple):
     """How one estimate samples a plan's members and reads its graphs (see :func:`_plan_program`)."""
 
-    chain: _ChainStack     # every member's ring products, one zero-padded pattern row each
+    members: tuple         # every member, one zero-padded pattern row each
     keys: list             # the plan's graph keys, in ``plan.graphs`` order
     at: np.ndarray         # graph -> flat (member row, edge bitmask) index
     pairs: tuple           # (first, second) graph of every pair on one member, self-pairs included
@@ -387,7 +335,7 @@ class _PlanProgram(NamedTuple):
 
 
 def _plan_program(plan: ConfigurationPlan) -> _PlanProgram:
-    """The plan's members, one row each, stacked for their ring products, and where its graphs are read.
+    """The plan's members, one pattern row each, and where its graphs are read.
 
     Rows run in configuration order: a member's row is its
     configuration's offset in the cumulative member counts plus its index
@@ -395,21 +343,20 @@ def _plan_program(plan: ConfigurationPlan) -> _PlanProgram:
     ``2**max_edges`` entries, so a row's index bits never meet an edge
     bitmask.
     """
-    members = [m for conf in plan.configurations for m in conf.members]
+    members = tuple(m for conf in plan.configurations for m in conf.members)
     offsets = np.cumsum([0] + [len(conf.members) for conf in plan.configurations])
-    chain = _stack_chains(members)
     keys = [g.key() for g in plan.graphs]
     hosts = [plan.hosts[key] for key in keys]
     rows = np.array([offsets[ci] + mi for ci, mi, _ in hosts])
     masks = np.array([sum(1 << k for k in emb) for _, _, emb in hosts])
-    at = rows * chain.gather.shape[2] + masks
+    at = rows * 2 ** max(m.n_edges for m in members) + masks
     first, second = np.nonzero(rows[:, None] == rows[None, :])
-    return _PlanProgram(chain, keys, at, (first, second), at[first] | masks[second])
+    return _PlanProgram(members, keys, at, (first, second), at[first] | masks[second])
 
 
 def _sample_plan(program: _PlanProgram, R1, R2, shots, rng) -> np.ndarray:
     """Multinomial pattern counts of every member, one zero-padded row each, from one ``rng.multinomial`` call."""
-    return rng.multinomial(shots, _chain_patterns(program.chain, R1, R2))
+    return rng.multinomial(shots, _chain_patterns(program.members, R1, R2))
 
 
 def _graph_estimates(program: _PlanProgram, counts: np.ndarray, shots):

@@ -174,6 +174,28 @@ class TestStandaloneFits:
         for basis in (build_basis(2), build_basis(4)):
             assert [basis.monomials[k] for k in _symbolic_support("one", basis)] == [()]
 
+    def test_a_coefficient_that_snaps_to_zero_leaves_the_fit(self, monkeypatch):
+        """A pruned coefficient of 3e-9 is noise around 0: no entry, no table line, no class."""
+        basis = build_basis(2)
+        want = fit_coefficients("pi2", basis, samples=600, seed=5)
+        extra = next(
+            k for k in range(basis.n_monomials)
+            if basis.monomials[k] and not basis.classes([k]) & set(want.support_graphs())
+        )
+
+        def padded_prune(A, y, support):
+            kept, coef, seed_res = _prune(A, y, support)
+            return kept + [extra], np.append(coef, 3e-9), seed_res
+
+        monkeypatch.setattr(derive, "_prune", padded_prune)
+        fit = fit_coefficients("pi2", basis, samples=600, seed=5)
+        assert extra not in fit.entries
+        assert fit.entries == want.entries
+        assert fit.as_table() == want.as_table()
+        assert basis.monomial_string(extra) not in fit.as_table()
+        assert not basis.classes([extra]) & set(fit.support_graphs())
+        assert fit.exact_certified
+
     def test_failed_certification_keeps_the_float_fit(self, exact_traces_off):
         fit = fit_coefficients("pi2", build_basis(2), samples=600)
         assert not fit.exact_certified and not fit.all_rational

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -11,11 +12,15 @@ from qoverlap.graphs import (
     _connected_spanning,
     _exchange_minimum,
     _normalize_edges,
+    _ring_plan,
+    _ring_sums,
     connected_components,
     count_matchings,
     dedup_report,
     enumerate_classes,
     enumerate_matchings,
+    exact_numerators,
+    exact_probabilities,
     is_connected_spanning,
     matching_partners,
     probability_batch,
@@ -237,6 +242,34 @@ class TestProbabilities:
             exact = probability_exact(g, F1, F2)
             approx = probability_batch(g, R1[None], R2[None])[0]
             assert float(exact) == pytest.approx(approx, abs=1e-13)
+
+    def test_exact_patterns_of_every_plan_member(self, plan):
+        """The one evaluator's integer rows on int64 numerators of hand-built rational pairs.
+
+        Every member's row sums to ``4**edges`` times its touched copies'
+        denominators, its all-antibunched entry is the numerator of its
+        exact probability, and it is 0 beyond its ``2**edges`` entries.
+        """
+        third, quarter = Fraction(1, 3), Fraction(1, 4)
+        werner = np.diag([Fraction(1), -third, -third, -third])
+        a, b = [Fraction(1, 2), Fraction(0), -third], [Fraction(1, 5), Fraction(2, 3), Fraction(0)]
+        product_state = np.array([[Fraction(1)] + b] + [[x] + [x * y for y in b] for x in a])
+        diagonal = np.diag([Fraction(1), Fraction(1, 2), Fraction(0), -quarter])
+        diagonal[3, 0] = quarter
+        pairs = [tuple(map(exact_numerators, pair)) for pair in
+                 ((werner, product_state), (product_state, diagonal), (diagonal, werner))]
+        members = tuple(m for conf in plan.configurations for m in conf.members)
+        N = np.array([[R.N for R in pair] for pair in pairs], dtype=np.int64)
+        rows = _ring_sums(_ring_plan(members, True), N[:, 0], N[:, 1])
+        assert rows.dtype == np.int64
+        for member, row, exact in zip(members, rows, exact_probabilities(members, pairs)):
+            states = [member.layout.copies[c] for c in member.touched_copies()]
+            width = 2**member.n_edges
+            for s, ((R1, R2), p) in enumerate(zip(pairs, exact)):
+                den = 4**member.n_edges * R1.den ** states.count(1) * R2.den ** states.count(2)
+                assert int(row[:, s].sum()) == den, str(member)
+                assert int(row[width - 1, s]) == p * den, str(member)
+                assert not row[width:, s].any(), str(member)
 
     def test_probability_in_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -8,8 +8,8 @@ from qoverlap import interferometer
 from qoverlap.core import ModeLayout, random_state, to_correlation
 from qoverlap.derive import _symbolic_support, build_basis
 from qoverlap.graphs import (
+    ETA,
     MeasurementGraph,
-    _OUTCOME_ETA,
     connected_components,
     enumerate_classes,
 )
@@ -23,7 +23,6 @@ from qoverlap.interferometer import (
     _graph_estimates,
     _plan_program,
     _sample_plan,
-    _stack_chains,
     _stat_values,
     _superset_sums,
     estimate_distances,
@@ -44,7 +43,7 @@ def pair():
 
 
 def pattern_contraction(graph):
-    """Subscripts and copy plan of a graph's pattern as one einsum, the reference the ring chain is checked against.
+    """Subscripts and copy plan of a graph's pattern as one einsum, the reference the ring sums are checked against.
 
     :func:`einsum_recipe`'s subscripts with an outcome axis added to
     every edge factor; the outputs list edge E-1 first, so the flattened
@@ -327,10 +326,14 @@ class TestGraphEstimates:
         assert np.array_equal(cov, ref_cov)
 
 
+#: Edge factor per outcome, 4 (1 - P^-) then 4 P^-, built here from ETA alone.
+OUTCOME_ETA = np.stack([4.0 * (np.arange(4) == 0) - ETA, ETA])
+
+
 def einsum_pattern(member, R1, R2):
     """One member's pattern, planned by ``np.einsum`` on its own, then checked, floored and normalized."""
     spec, copy_plan = pattern_contraction(member)
-    operands = [_OUTCOME_ETA] * member.n_edges + copy_operands(copy_plan, R1[None], R2[None])
+    operands = [OUTCOME_ETA] * member.n_edges + copy_operands(copy_plan, R1[None], R2[None])
     pattern = np.einsum(spec, *operands, optimize="greedy").reshape(-1) / 4.0**member.n_edges
     if pattern.min() < -PATTERN_TOL or abs(pattern.sum() - 1.0) > PATTERN_TOL:
         raise ValueError(
@@ -384,12 +387,12 @@ class TestStackedProgram:
     def test_every_row_equals_its_members_own_contraction(self, plan, family):
         """To 1e-15 with the same zeros, the one-edge within-copy members included.
 
-        The ring chain sums in another order than a member's own einsum,
+        The ring sums add in another order than a member's own einsum,
         so rows may differ in their last bits; the floor leaves them the
         same zero entries.  A member's one-member stack
         (:func:`pattern_distribution`) gives its row of the plan's stack
-        bit for bit: padding slots multiply by I, and the normalizing sum
-        adds the padded zeros exactly.
+        bit for bit: each ring sum is taken on its own, and the
+        normalizing sum adds the padded zeros exactly.
         """
         program = _plan_program(plan)
         members = plan_members(plan)
@@ -397,7 +400,7 @@ class TestStackedProgram:
         assert len(within) == 2
         for rho1, rho2 in family_pairs(family):
             R1, R2 = to_correlation(rho1), to_correlation(rho2)
-            patterns = _chain_patterns(program.chain, R1, R2)
+            patterns = _chain_patterns(program.members, R1, R2)
             for row, member in enumerate(members):
                 width = 2**member.n_edges
                 want = einsum_pattern(member, R1, R2)
@@ -435,15 +438,15 @@ class TestStackedProgram:
         """
         program = _plan_program(plan)
         R1, R2 = to_correlation(basis_state(0)), to_correlation(bell_state(2))
-        exact = _chain_patterns(program.chain, R1, R2)
+        exact = _chain_patterns(program.members, R1, R2)
         counts = _sample_plan(program, R1, R2, 1000, np.random.default_rng(5))
         assert not any(counts[row, 2**m.n_edges :].any() for row, m in enumerate(plan_members(plan)))
         lifted = []
-        ring_products = interferometer._ring_products
+        pattern_rows = interferometer.pattern_rows
 
         def lift(*args):
-            """The ring products, each member's first zero ahead of its last nonzero entry lifted to ``tiny``."""
-            rows = ring_products(*args)
+            """The unchecked pattern rows, each member's first zero ahead of its last nonzero entry lifted to ``tiny``."""
+            rows = pattern_rows(*args)
             for row in rows:
                 zeros = np.flatnonzero(row[: np.flatnonzero(row)[-1]] == 0.0)
                 if zeros.size:
@@ -451,8 +454,8 @@ class TestStackedProgram:
                     row[zeros[0]] = tiny
             return rows
 
-        monkeypatch.setattr(interferometer, "_ring_products", lift)
-        assert np.array_equal(_chain_patterns(program.chain, R1, R2), exact)
+        monkeypatch.setattr(interferometer, "pattern_rows", lift)
+        assert np.array_equal(_chain_patterns(program.members, R1, R2), exact)
         assert np.array_equal(_sample_plan(program, R1, R2, 1000, np.random.default_rng(5)), counts)
         assert len(lifted) > 1
         pattern, k = lifted[0]
@@ -470,9 +473,9 @@ class TestStackedProgram:
         R1, R2 = to_correlation(rho1), to_correlation(rho2)
         error = {member.key(): pattern_error(member, R1, R2) for member in members}
         assert error[members[0].key()] is None  # the plan's first invalid row stands behind a valid row
-        for chain, order in ((_plan_program(plan).chain, members), (_stack_chains(members[::-1]), members[::-1])):
+        for stack, order in ((_plan_program(plan).members, members), (tuple(members[::-1]), members[::-1])):
             with pytest.raises(ValueError) as err:
-                _chain_patterns(chain, R1, R2)
+                _chain_patterns(stack, R1, R2)
             assert str(err.value) == next(error[m.key()] for m in order if error[m.key()] is not None)
         for member in members:
             if error[member.key()] is not None:

@@ -47,7 +47,7 @@ def test_cli_import_builds_no_cache():
     sizes = json.loads(done.stdout)
     assert {
         "qoverlap.graphs._ring_chain",
-        "qoverlap.graphs._ring_halves",
+        "qoverlap.graphs._ring_plan",
         "qoverlap.cli._parser",
     } <= set(sizes)
     assert not any(sizes.values()), sizes
@@ -83,7 +83,10 @@ def test_one_ring_walk():
             for node in ast.walk(ast.parse((root / name).read_text()))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
-        assert not defined & {"_ring_chain", "_pattern_chain", "_Chain", "_ring_halves"}, name
+        assert not defined & {
+            "_ring_chain", "_pattern_chain", "_Chain", "_ring_halves", "_ring_plan", "_ring_sums",
+            "_ChainStack", "_stack_chains", "_ring_products",
+        }, name
 
 
 def test_one_quartic_solver_and_one_least_squares_solve():
@@ -102,8 +105,25 @@ def test_overlap_route_makes_no_contraction():
 
 
 def test_one_pattern_path():
-    """Patterns come from the ring chain alone: ``interferometer.py`` calls no ``einsum``."""
-    assert {place for place in _places("einsum") if place[0] == "interferometer.py"} == set()
+    """Patterns come from ``graphs.pattern_rows`` alone: ``interferometer.py`` calls no ``einsum`` or
+    ``matmul``, multiplies matrices with ``@`` only in the dense cross-check and the delta-method
+    statistics, and imports no private name from ``graphs``."""
+    source = (Path(qoverlap.__file__).resolve().parent / "interferometer.py").read_text()
+    assert "einsum" not in source and "matmul" not in source
+    tree = ast.parse(source)
+    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    products = {
+        max((d for d in defs if d.lineno <= node.lineno <= d.end_lineno), key=lambda d: d.lineno, default=None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    }
+    assert {d.name for d in products if d is not None} == {
+        "graph_probability", "_stat_values", "_linear_stat", "_o12_plus_root", "estimate_distances",
+    }
+    assert None not in products
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "graphs" for a in n.names]
+    assert "pattern_rows" in imported
+    assert not [name for name in imported if name.startswith("_")], imported
 
 
 def test_no_module_level_cache_dict():
