@@ -4,10 +4,12 @@ Every quantity the interferometer estimates — purities, overlaps, the
 difference-moments Pi_n, the fourth-order cross overlaps — is a linear
 combination of products of measurement-graph probabilities.  This module
 recovers those combinations numerically: it builds the monomial basis,
-fits coefficients by least squares on random state ensembles, snaps them
-onto the thirds grid they empirically live on, certifies the result with
-exact rational arithmetic, and compares the resulting measurement counts
-against the reference workflow counts.
+seeds each target's support from its symbolic word expansion, fits the
+coefficients on random state ensembles from thin SVDs of the design
+matrix's columns (a minimum-norm fit plus the kernel's free directions),
+snaps them onto the thirds grid they empirically live on, certifies the
+result with exact rational arithmetic, and compares the resulting
+measurement counts against the reference workflow counts.
 """
 from __future__ import annotations
 
@@ -22,17 +24,18 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import ModeLayout, PAULI2, ginibre_states, to_correlation, trace_tensor
+from .core import PAULI2, ginibre_states, to_correlation, trace_tensor
 from .graphs import (
     MeasurementGraph,
     Numerators,
-    connected_components,
+    class_indices,
+    component_labels,
     enumerate_classes,
-    enumerate_matchings,
     exact_numerators,
     exact_probabilities,
-    matching_orbits,
     matching_partners,
+    matching_table,
+    orbit_codes,
     probability_matrix,
 )
 from . import interferometer
@@ -207,15 +210,6 @@ def _matching_gram(
     return G
 
 
-def _matching_indices(M: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, ...]:
-    """Index grid of the entries where D_M is 1: matched slots equal, the rest 0."""
-    values = np.indices((4,) * len(M)).reshape(len(M), 4 ** len(M))
-    idx = np.zeros((n, values.shape[1]), dtype=int)
-    for (u, v), val in zip(M, values):
-        idx[u] = idx[v] = val
-    return tuple(idx)
-
-
 def _slot_symmetries(k: int) -> np.ndarray:
     """Slot permutations fixing Re(t_k x t_k), one row ``perm`` (slot s -> perm[s]) each.
 
@@ -237,7 +231,7 @@ def _slot_symmetries(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
+def _matching_kernel(k: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], np.ndarray]:
     """Coefficients c with Re(t_k x t_k) = sum_M c[M] * D_M.
 
     Slots 0..k-1 are the row word, k..2k-1 the column word.  D_M is 1
@@ -251,31 +245,41 @@ def _matching_kernel(k: int) -> tuple[list[tuple[tuple[int, int], ...]], np.ndar
     (:func:`_matching_gram`) summed over each orbit, give B x = rhs, and
     since ||c||^2 = sum_O |O| x[O]^2, c comes from the minimum-norm
     z = sqrt(|O|) x of B[P, O] / sqrt(|O|) z = rhs.  The expansion is
-    verified pointwise.
+    verified pointwise: the flat indices of the entries where each D_M
+    is 1 are, per edge count e, the 4**e digit rows times the matching's
+    edge strides, and the coefficients add up on them by ``bincount``.
     """
     t = trace_tensor(k)
-    kern = np.multiply.outer(t, t).real
+    kern = np.multiply.outer(t, t).real.ravel()
     n = 2 * k
-    matchings = enumerate_matchings(list(range(n)))
-    orbit, members = matching_orbits(matchings, _slot_symmetries(k))
+    matchings, partner = matching_table(n)
+    _, members, orbit = np.unique(orbit_codes(partner, _slot_symmetries(k)), return_index=True, return_inverse=True)
+    slots = np.arange(n)
+    lead = partner > slots  # each edge at its smaller slot, in the matching's edge order
+    stride = 4 ** slots[::-1] + 4 ** (n - 1 - partner)
+    edges = lead.sum(axis=1)
+    owner, flat = [], []
+    for e in range(k + 1):
+        rows = np.flatnonzero(edges == e)
+        owner.append(np.repeat(rows, 4**e))
+        flat.append((stride[rows][lead[rows]].reshape(len(rows), e) @ np.indices((4,) * e).reshape(e, 4**e)).ravel())
+    owner, flat = np.concatenate(owner), np.concatenate(flat)
+
     w = np.sqrt(np.bincount(orbit))
-    rhs = np.array([kern[_matching_indices(matchings[a], n)].sum() for a in members])
+    rhs = np.bincount(owner, weights=kern[flat], minlength=len(partner))[members]
     B = _matching_gram(matchings, n, members) @ (orbit[:, None] == np.arange(len(members)))
     z, *_ = np.linalg.lstsq(B / w, rhs, rcond=None)
     c = (z / w)[orbit]
 
-    approx = np.zeros_like(kern)
-    for M, ca in zip(matchings, c):
-        if abs(ca) >= 1e-12:
-            approx[_matching_indices(M, n)] += ca
-    err = float(np.abs(approx - kern).max())
+    weights = np.where(np.abs(c) >= 1e-12, c, 0.0)[owner]
+    err = float(np.abs(np.bincount(flat, weights=weights, minlength=len(kern)) - kern).max())
     if err > 1e-9:
         raise RuntimeError(f"trace kernel expansion failed for k={k}: error {err:.3e}")
     return matchings, c
 
 
 @lru_cache(maxsize=None)
-def _submatchings(k: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+def _submatchings(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The edge subsets of every trace-kernel matching of a length-``k`` word, found once per length.
 
     Kernel slot j lifts to the a mode of copy j (j < k) or the b mode of
@@ -283,32 +287,48 @@ def _submatchings(k: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
     an edge set on the word's k copies.  The per-edge identity converts
     the matching's unweighted Bloch sum into graph probabilities by
     inclusion-exclusion over its edge subsets: r of its n edges weigh
-    4^(n-k) (-1)^r 2^(r-n) times the matching's coefficient.  Returns the
-    distinct subsets (sub-matchings), each split into its connected copy
-    components, one edge tuple each, and per term, in matching order and
-    then by subset, its matching, its sub-matching and its factor.  None
-    of this depends on the word's letters or the kernel's coefficients.
+    4^(n-k) (-1)^r 2^(r-n) times the matching's coefficient.  The terms
+    run in matching order, each matching's subsets as ``combinations``
+    of its edges for r = 0..n, and each is a partner row on the copies'
+    modes.  Returns the distinct subsets (sub-matchings) in order of
+    first appearance, each as its components' partner rows (``(subset,
+    k, 2k)``: row j holds the component whose least copy is j, found by
+    :func:`~qoverlap.graphs.component_labels`, or no edge), and per term
+    its matching, its sub-matching and its factor.  None of this depends
+    on the word's letters or the kernel's coefficients.
     """
-    mode = [2 * u for u in range(k)] + [2 * u + 1 for u in range(k)]
-    weigh = {
-        (n, r): 4.0 ** (n - k) * (-1.0) ** r * 2.0 ** (r - n) for n in range(k + 1) for r in range(n + 1)
-    }
-    index: dict[tuple[tuple[int, int], ...], int] = {}
-    matching, sub, factor = [], [], []
-    for a, M in enumerate(_matching_kernel(k)[0]):
-        edges = [tuple(sorted((mode[u], mode[v]))) for u, v in M]
-        n = len(edges)
-        for r in range(n + 1):
-            for chosen in combinations(edges, r):
-                matching.append(a)
-                sub.append(index.setdefault(tuple(sorted(chosen)), len(index)))
-                factor.append(weigh[n, r])
-    layout = ModeLayout((1,) * k)
-    parts = tuple(
-        tuple(tuple(e for e in s if e[0] // 2 in comp) for comp in connected_components(layout, s))
-        for s in index
-    )
-    return parts, np.array(matching), np.array(sub), np.array(factor)
+    n = 2 * k
+    partner = matching_table(n).partner
+    slots = np.arange(n)
+    lift = np.concatenate([2 * slots[:k], 2 * slots[:k] + 1])  # the mode of each kernel slot
+    leads = partner > slots  # each edge at its smaller slot, in the matching's edge order
+    lead_mode = lift[np.argsort(~leads, axis=1, kind="stable")[:, :k]]  # edge i's mode at its smaller slot
+    mode_partner = np.empty_like(partner)
+    mode_partner[:, lift] = lift[partner]
+    edges = leads.sum(axis=1)
+    choose = np.zeros((k + 1, 2**k, k), dtype=bool)  # per edge count, its subsets in ``combinations`` order
+    for e in range(k + 1):
+        subsets = [c for r in range(e + 1) for c in combinations(range(e), r)]
+        for i, chosen in enumerate(subsets):
+            choose[e, i, list(chosen)] = True
+    size = 2**edges
+    matching = np.repeat(np.arange(len(partner)), size)
+    chosen = choose[edges[matching], np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)]
+    terms = np.tile(slots, (len(matching), 1))
+    for i in range(k):
+        rows = np.flatnonzero(chosen[:, i])
+        u = lead_mode[matching[rows], i]
+        v = mode_partner[matching[rows], u]
+        terms[rows, u], terms[rows, v] = v, u
+    r, m = chosen.sum(axis=1), edges[matching]
+    factor = 4.0 ** (m - k) * (-1.0) ** r * 2.0 ** (r - m)
+    _, first, inverse = np.unique(terms @ n ** slots, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    distinct = terms[np.sort(first)]
+    label = component_labels(distinct)
+    parts = np.where(label[:, None, :] == np.arange(k)[:, None], distinct[:, None, :], slots)
+    return parts, matching, rank[inverse], factor
 
 
 @lru_cache(maxsize=None)
@@ -317,29 +337,35 @@ def _word_monomials(word: tuple[int, ...]) -> dict[tuple[tuple, ...], float]:
 
     The inclusion-exclusion terms of the trace kernel's matchings
     (:func:`_submatchings`) are shared by every word of length k; the
-    word only names the state of each copy.  Each sub-matching of a
-    matching with a coefficient of at least 1e-9 maps once to its
-    monomial, the sorted tuple of its components' canonical keys (empty
-    tuple = the constant term), and the terms add up per monomial in
-    matching order, rounding noise included; :func:`_symbolic_support`
-    keeps the monomials whose total over a target's words is not noise.
+    word only names the state of each copy.  The sub-matchings reached
+    by a matching with a coefficient of at least 1e-9 have their
+    components' classes looked up in one
+    :func:`~qoverlap.graphs.class_indices` call; a monomial is a sorted
+    row of class indices, found by ``np.unique``, and is keyed by the
+    sorted tuple of its classes' keys (empty tuple = the constant term).
+    The terms add up per monomial by ``bincount`` in matching order,
+    rounding noise included; :func:`_symbolic_support` keeps the
+    monomials whose total over a target's words is not noise.
     """
     k = len(word)
     c = _matching_kernel(k)[1]
     parts, matching, sub, factor = _submatchings(k)
     kept = np.abs(c[matching]) >= 1e-9
-    layout = ModeLayout(tuple(word))
-    keys: dict[tuple, tuple] = {}
-    monomials: dict[tuple[tuple, ...], int] = {}
+    reached = np.flatnonzero(np.bincount(sub[kept], minlength=len(parts)))
+    components = parts[reached]
+    edged = (components != np.arange(2 * k)).any(axis=2)
+    classes = np.full(edged.shape, -1)
+    classes[edged] = class_indices(components[edged], word)
+    keys = [g.key() for g in enumerate_classes(4)]
+    rows = np.sort(classes, axis=1)
+    _, first, inverse = np.unique((rows + 1) @ (len(keys) + 1) ** np.arange(k), return_index=True, return_inverse=True)
     mono_of_sub = np.zeros(len(parts), dtype=int)
-    for s in np.flatnonzero(np.bincount(sub[kept], minlength=len(parts))):
-        for part in parts[s]:
-            if part not in keys:
-                keys[part] = MeasurementGraph(layout, part).canonical().key()
-        mono = tuple(sorted(keys[part] for part in parts[s]))
-        mono_of_sub[s] = monomials.setdefault(mono, len(monomials))
-    totals = np.bincount(mono_of_sub[sub[kept]], weights=c[matching[kept]] * factor[kept])
-    return dict(zip(monomials, totals.tolist()))
+    mono_of_sub[reached] = inverse
+    totals = np.bincount(mono_of_sub[sub[kept]], weights=c[matching[kept]] * factor[kept]).tolist()
+    # in order of first appearance, as the sub-matchings reach them
+    return {
+        tuple(sorted(keys[i] for i in rows[first[m]] if i >= 0)): totals[m] for m in np.argsort(first).tolist()
+    }
 
 
 def _symbolic_support(target: str, basis: MonomialBasis) -> list[int] | None:

@@ -4,7 +4,8 @@ A graph is a matching (set of disjoint edges) on the modes of a
 multi-copy layout; each edge is one two-mode singlet projection and the
 graph's statistic is the probability that every edge fires at once.
 This module enumerates graphs, reduces them to canonical classes under
-copy exchange, and evaluates their probabilities, in floats and exactly,
+copy exchange (and looks the classes of many graphs up at once by orbit
+code), and evaluates their probabilities, in floats and exactly,
 plus the combinatorial counts behind the class bookkeeping.  A connected
 graph is a ring or a path over its copies, so each edge outcome's
 probability is the trace of a product of their correlation matrices and
@@ -18,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +31,12 @@ __all__ = [
     "MeasurementGraph",
     "enumerate_matchings",
     "matching_partners",
+    "matching_table",
+    "orbit_codes",
     "matching_orbits",
     "count_matchings",
+    "component_labels",
+    "class_indices",
     "is_connected_spanning",
     "enumerate_classes",
     "probability_matrix",
@@ -102,6 +107,14 @@ class MeasurementGraph:
                 if k in seen:
                     raise ValueError(f"mode {k} appears in two edges; edges must be disjoint")
                 seen.add(k)
+
+    def __hash__(self) -> int:
+        """The hash of ``(layout, edges)``, computed at first use and kept on the graph."""
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.layout, self.edges)))
+            return self._hash
 
     def __str__(self) -> str:
         """Printable form ``AxB:(i-j)...``, as the coefficient tables show it."""
@@ -180,8 +193,8 @@ class MeasurementGraph:
 
 
 def enumerate_matchings(modes: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """All matchings (including the empty one) on the given mode list."""
-    modes = list(modes)
+    """All matchings (including the empty one) on the given mode list, each normalized (sorted edges)."""
+    modes = [int(m) for m in modes]
     if not modes:
         return [()]
     first, rest = modes[0], modes[1:]
@@ -189,17 +202,48 @@ def enumerate_matchings(modes: list[int]) -> list[tuple[tuple[int, int], ...]]:
     for j, partner in enumerate(rest):
         sub = rest[:j] + rest[j + 1 :]
         edge = (first, partner) if first < partner else (partner, first)
-        out.extend(_normalize_edges(m + (edge,)) for m in enumerate_matchings(sub))
+        out.extend(tuple(sorted(m + (edge,))) for m in enumerate_matchings(sub))
     return out
 
 
 def matching_partners(matchings: list[tuple[tuple[int, int], ...]], n: int) -> np.ndarray:
     """Slot partners, one row per matching: v at u for an edge (u, v), else u itself."""
     partner = np.tile(np.arange(n), (len(matchings), 1))
-    for b, M in enumerate(matchings):
-        for u, v in M:
-            partner[b, u], partner[b, v] = v, u
+    edges = np.array([e for M in matchings for e in M], dtype=int).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(matchings)), [len(M) for M in matchings])
+    partner[rows, edges[:, 0]], partner[rows, edges[:, 1]] = edges[:, 1], edges[:, 0]
     return partner
+
+
+class MatchingTable(NamedTuple):
+    """Every matching on ``n`` slots, in :func:`enumerate_matchings` order, and its partner row."""
+
+    matchings: tuple[tuple[tuple[int, int], ...], ...]
+    partner: np.ndarray  # (matching, n), read-only
+
+
+@lru_cache(maxsize=None)
+def matching_table(n: int) -> MatchingTable:
+    """The matchings on slots ``0..n-1`` and their partner rows (:func:`matching_partners`), built once per slot count."""
+    matchings = tuple(enumerate_matchings(range(n)))
+    partner = matching_partners(matchings, n)
+    partner.flags.writeable = False
+    return MatchingTable(matchings, partner)
+
+
+def orbit_codes(partner: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Each partner row's least image under a group of slot permutations, read as a base-n number.
+
+    ``perms`` lists the group, one row ``perm`` (slot s -> perm[s]) per
+    element.  A permutation maps a partner row p to p' with p'[perm[s]]
+    = perm[p[s]]; two rows share a code exactly when they lie in one
+    orbit, and int64 holds the code for n <= 15 slots.
+    """
+    n = perms.shape[1]
+    images = np.empty((len(perms),) + partner.shape, dtype=np.int64)
+    for g, perm in enumerate(perms):
+        images[g][:, perm] = perm[partner]
+    return (images @ n ** np.arange(n, dtype=np.int64)).min(axis=0)
 
 
 def matching_orbits(
@@ -207,17 +251,10 @@ def matching_orbits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orbit number of each matching under a group of slot permutations, and one member per orbit.
 
-    ``perms`` lists the group, one row ``perm`` (slot s -> perm[s]) per
-    element.  A permutation maps a matching's partner row p to p' with
-    p'[perm[s]] = perm[p[s]]; an orbit is named by its least image read
-    as a base-n number, which int64 holds for n <= 15 slots.
+    Orbits are numbered in the order of their least codes
+    (:func:`orbit_codes`); the member is each orbit's first matching.
     """
-    n = perms.shape[1]
-    partner = matching_partners(matchings, n)
-    images = np.empty((len(perms),) + partner.shape, dtype=np.int64)
-    for g, perm in enumerate(perms):
-        images[g][:, perm] = perm[partner]
-    codes = (images @ n ** np.arange(n, dtype=np.int64)).min(axis=0)
+    codes = orbit_codes(matching_partners(matchings, perms.shape[1]), perms)
     _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
     return orbit, first
 
@@ -262,47 +299,107 @@ def is_connected_spanning(layout: ModeLayout, edges) -> bool:
     return len(comps) == 1 and len(comps[0]) == layout.n_copies
 
 
-def _connected_spanning(partner: np.ndarray) -> np.ndarray:
-    """Which matchings, one partner row each (:func:`matching_partners`), are connected and spanning.
+def component_labels(partner: np.ndarray) -> np.ndarray:
+    """Each mode's component, one partner row per matching (:func:`matching_partners`) over whole copies.
 
     Every mode starts with its copy number and takes the least label of
     its partner and of its copy's other mode; after as many rounds as
-    there are copies, a matching is connected and spanning exactly when
-    it has an edge and every mode holds copy 0.
+    there are copies, every mode holds the least copy of its component
+    (an untouched copy is a component of its own).
     """
     label = np.arange(partner.shape[1]) // 2 + np.zeros_like(partner)
     for _ in range(partner.shape[1] // 2):
         label = np.minimum(label, np.take_along_axis(label, partner, axis=1))
         label = np.repeat(label.reshape(len(label), -1, 2).min(axis=2), 2, axis=1)
-    return (label == 0).all(axis=1) & (partner != np.arange(partner.shape[1])).any(axis=1)
+    return label
+
+
+def _connected_spanning(partner: np.ndarray) -> np.ndarray:
+    """Which matchings, one partner row each, are connected and spanning: an edge, and every mode in copy 0's component."""
+    return (component_labels(partner) == 0).all(axis=1) & (partner != np.arange(partner.shape[1])).any(axis=1)
 
 
 @lru_cache(maxsize=None)
 def enumerate_classes(max_copies: int = 4) -> tuple[MeasurementGraph, ...]:
     """Connected graph classes on every layout with at most ``max_copies`` copies.
 
-    On each standard layout the matchings fall into orbits under the
-    copy exchanges (:func:`matching_orbits` with the mode maps of
-    :func:`_copy_exchanges`); a class is one orbit, so one member per
-    orbit that is connected and spanning (:func:`_connected_spanning`)
-    is taken to its canonical form.  No two of the resulting classes
-    share a probability functional (the tests check this on random
-    pairs).  Connected classes generate everything else: a disconnected
-    graph's probability is the product over its components, and
-    untouched copies are dropped.  Deterministic ordering.  The
-    enumeration runs once per ``max_copies`` and process; later calls
-    return the same tuple.
+    On each standard layout the connected and spanning matchings
+    (:func:`_connected_spanning` on the slot count's matching table) fall
+    into orbits under the copy exchanges (:func:`orbit_codes` with the
+    mode maps of :func:`_copy_exchanges`); a class is one orbit, so one
+    member per orbit is taken to its canonical form.  No two of the
+    resulting classes share a probability functional (the tests check
+    this on random pairs).  Connected classes generate everything else:
+    a disconnected graph's probability is the product over its
+    components, and untouched copies are dropped.  Deterministic
+    ordering.  The enumeration runs once per ``max_copies`` and process;
+    later calls return the same tuple.
     """
     classes = []
     for n in range(1, max_copies + 1):
-        matchings = enumerate_matchings(list(range(2 * n)))
-        connected = _connected_spanning(matching_partners(matchings, 2 * n))
+        matchings, partner = matching_table(2 * n)
+        connected = np.flatnonzero(_connected_spanning(partner))
         for n1 in range(n + 1):
             layout = ModeLayout.standard(n1, n - n1)
-            _, members = matching_orbits(matchings, np.array(_copy_exchanges(n1, n - n1)))
-            for a in members[connected[members]]:
+            codes = orbit_codes(partner[connected], np.array(_copy_exchanges(n1, n - n1)))
+            for a in connected[np.unique(codes, return_index=True)[1]]:
                 classes.append(MeasurementGraph(layout, matchings[a]).canonical())
     return tuple(sorted(classes, key=lambda g: (g.n_copies, g.counts(), g.n_edges, g.edges)))
+
+
+def _orbit_keys(partner: np.ndarray, copies: tuple[int, ...]) -> np.ndarray:
+    """Each graph's orbit under copy exchange as one integer, one partner row each on the layout ``copies``.
+
+    A graph moves to its standard layout: its touched copies, state 1
+    first and each state in copy order (one ``argsort`` per row), then
+    its untouched copies, which stay fixed.  On the standard ``(n1,
+    n2)`` layout its key is ``25 * code + 5 * n1 + n2`` with ``code`` its
+    :func:`orbit_codes` under :func:`_copy_exchanges`.
+    """
+    n = len(copies)
+    modes = np.arange(2 * n)
+    touched = (partner != modes).reshape(len(partner), n, 2).any(axis=2)
+    state = np.array(copies)
+    order = np.argsort(np.where(touched, state * n, 3 * n) + np.arange(n), axis=1)
+    place = 2 * np.repeat(np.argsort(order, axis=1), 2, axis=1) + modes % 2  # where each mode moves
+    moved = np.empty_like(partner)
+    np.put_along_axis(moved, place, np.take_along_axis(place, partner, axis=1), axis=1)
+    n1 = (touched & (state == 1)).sum(axis=1)
+    n2 = touched.sum(axis=1) - n1
+    keys = np.empty(len(partner), dtype=np.int64)
+    for a, b in set(zip(n1.tolist(), n2.tolist())):
+        rows = (n1 == a) & (n2 == b)
+        keys[rows] = 25 * orbit_codes(moved[rows, : 2 * (a + b)], np.array(_copy_exchanges(a, b))) + 5 * a + b
+    return keys
+
+
+@lru_cache(maxsize=None)
+def _class_codes() -> tuple[np.ndarray, np.ndarray]:
+    """The orbit keys (:func:`_orbit_keys`) of the classes of ``enumerate_classes(4)``, sorted, and each key's class index."""
+    classes = enumerate_classes(4)
+    keys = np.concatenate([
+        _orbit_keys(matching_partners([g.edges for g in group], layout.n_modes), layout.copies)
+        for layout, group in groupby(classes, key=lambda g: g.layout)
+    ])
+    order = np.argsort(keys)
+    keys = keys[order]
+    keys.flags.writeable = order.flags.writeable = False
+    return keys, order
+
+
+def class_indices(partner: np.ndarray, copies: tuple[int, ...]) -> np.ndarray:
+    """Index in ``enumerate_classes(4)`` of each connected graph, one partner row each on the layout ``copies``.
+
+    The bulk form of ``enumerate_classes(4).index(graph.canonical())``:
+    each graph's orbit key (:func:`_orbit_keys`) is looked up among the
+    classes' keys.  Raises ValueError on a graph that is not connected.
+    """
+    keys, index = _class_codes()
+    want = _orbit_keys(np.asarray(partner), tuple(copies))
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if not np.array_equal(keys[at], want):
+        raise ValueError("class_indices takes connected graphs on at most four copies")
+    return index[at]
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +664,7 @@ def dedup_report(reference: int = 63) -> dict:
     """
     all_classes = enumerate_classes(4)
     upto22 = [g for g in all_classes if g.counts()[0] <= 2 and g.counts()[1] <= 2]
-    brute = len(enumerate_matchings(list(range(8))))
+    brute = len(matching_table(8).matchings)
     counts = {
         "raw_matchings_8_modes": brute,
         "raw_matchings_formula": count_matchings(8),

@@ -38,6 +38,7 @@ from qoverlap.graphs import (
     exact_numerators,
     exact_probabilities,
     matching_orbits,
+    matching_table,
     probability_exact,
 )
 from qoverlap.overlaps import TARGETS
@@ -516,6 +517,15 @@ class TestCompressedSolves:
                 assert float(exact) == pytest.approx(target(rho1, rho2), abs=1e-12), name
 
 
+def matching_indices(M, n):
+    """Index grid of the entries where D_M is 1: matched slots equal, the rest 0."""
+    values = np.indices((4,) * len(M)).reshape(len(M), 4 ** len(M))
+    idx = np.zeros((n, values.shape[1]), dtype=int)
+    for (u, v), val in zip(M, values):
+        idx[u] = idx[v] = val
+    return tuple(idx)
+
+
 @lru_cache(maxsize=None)
 def reference_kernel(k):
     """The trace-kernel expansion by one minimum-norm solve on the full Gram system."""
@@ -523,7 +533,7 @@ def reference_kernel(k):
     t = trace_tensor(k)
     kern = np.multiply.outer(t, t).real
     matchings = enumerate_matchings(list(range(n)))
-    rhs = np.array([kern[derive._matching_indices(M, n)].sum() for M in matchings])
+    rhs = np.array([kern[matching_indices(M, n)].sum() for M in matchings])
     c, *_ = np.linalg.lstsq(_matching_gram(matchings, n), rhs, rcond=None)
     return matchings, c
 
@@ -564,8 +574,41 @@ def loop_word_monomials(word):
     return acc
 
 
+def loop_submatchings(k):
+    """``derive._submatchings`` as a loop over the matchings' edge subsets, components as edge tuples."""
+    mode = [2 * u for u in range(k)] + [2 * u + 1 for u in range(k)]
+    index, matching, sub, factor = {}, [], [], []
+    for a, M in enumerate(enumerate_matchings(list(range(2 * k)))):
+        edges = [tuple(sorted((mode[u], mode[v]))) for u, v in M]
+        n = len(edges)
+        for r in range(n + 1):
+            for chosen in combinations(edges, r):
+                matching.append(a)
+                sub.append(index.setdefault(tuple(sorted(chosen)), len(index)))
+                factor.append(4.0 ** (n - k) * (-1.0) ** r * 2.0 ** (r - n))
+    layout = ModeLayout((1,) * k)
+    parts = [
+        {tuple(e for e in s if e[0] // 2 in comp) for comp in connected_components(layout, s)} for s in index
+    ]
+    return parts, matching, sub, factor
+
+
 class TestTraceKernel:
     """The orbit solve of the trace kernel against the full solve."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sub_matchings_match_the_subset_loop(self, k):
+        """The array build of the sub-matchings gives the loop's terms, numbering and components."""
+        matchings = _matching_kernel(k)[0]
+        assert matchings is matching_table(2 * k).matchings
+        parts, matching, sub, factor = derive._submatchings(k)
+        want_parts, want_matching, want_sub, want_factor = loop_submatchings(k)
+        assert matching.tolist() == want_matching and sub.tolist() == want_sub
+        assert np.array_equal(factor, np.array(want_factor))
+        assert parts.shape == (len(matchings), k, 2 * k)
+        for rows, want in zip(parts.tolist(), want_parts):
+            got = {tuple((u, v) for u, v in enumerate(row) if u < v) for row in rows}
+            assert got - {()} == want
 
     @pytest.mark.parametrize("k, distinct", [(2, 8), (3, 36), (4, 64)])
     def test_symmetries_fix_the_kernel(self, k, distinct):

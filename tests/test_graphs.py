@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from qoverlap.core import ModeLayout, ginibre_states, random_state, to_correlation
 from qoverlap.graphs import (
     MeasurementGraph,
+    _class_codes,
     _connected_spanning,
     _exchange_minimum,
     _normalize_edges,
     _ring_plan,
     _ring_sums,
     connected_components,
+    class_indices,
     count_matchings,
     dedup_report,
     enumerate_classes,
@@ -23,6 +26,7 @@ from qoverlap.graphs import (
     exact_probabilities,
     is_connected_spanning,
     matching_partners,
+    matching_table,
     probability_batch,
     probability_exact,
     probability_matrix,
@@ -92,6 +96,7 @@ def reference_class_keys(max_copies):
     return [g.key() for g in ordered]
 
 
+@lru_cache(maxsize=None)
 def connected_forms():
     """Every connected spanning matching on every standard layout of one to four copies."""
     return [
@@ -199,7 +204,67 @@ class TestCanonical:
             assert h.canonical().key() == reference_canonical(h).key(), (str(g), h)
 
 
+class TestClassLookup:
+    """``class_indices``, the bulk class lookup by orbit code, against ``canonical``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_canonical_under_relabeling(self, seed):
+        """Every connected form, its copies moved into a random layout of up to four copies."""
+        rng = np.random.default_rng(seed)
+        index = {g.key(): i for i, g in enumerate(enumerate_classes(4))}
+        by_layout = {}
+        for g in connected_forms():
+            total = int(rng.integers(g.n_copies, 5))
+            spots = rng.permutation(total)[: g.n_copies]
+            copies = list(rng.integers(1, 3, total))
+            for c, spot in enumerate(spots):
+                copies[spot] = g.layout.copies[c]
+            h = g.relabel(dict(enumerate(spots.tolist())), ModeLayout(tuple(copies)))
+            by_layout.setdefault(h.layout.copies, []).append(h)
+        assert sum(map(len, by_layout.values())) == 1348
+        for copies, group in by_layout.items():
+            got = class_indices(matching_partners([h.edges for h in group], 2 * len(copies)), copies)
+            assert got.tolist() == [index[h.canonical().key()] for h in group], copies
+
+    def test_code_table_is_a_bijection_onto_the_classes(self):
+        classes = enumerate_classes(4)
+        keys, index = _class_codes()
+        assert len(keys) == len(classes) == 237 and np.all(np.diff(keys) > 0)
+        assert sorted(index.tolist()) == list(range(237))
+        for i, g in enumerate(classes):
+            assert class_indices(matching_partners([g.edges], g.layout.n_modes), g.layout.copies).tolist() == [i]
+
+    def test_disconnected_graph_is_rejected(self):
+        with pytest.raises(ValueError, match="connected"):
+            class_indices(matching_partners([((0, 1), (2, 3))], 4), (1, 2))
+
+
+class TestMatchingTable:
+    @pytest.mark.parametrize("n", [0, 2, 5, 8])
+    def test_rows_are_the_enumeration_and_its_edge_loop(self, n):
+        table = matching_table(n)
+        assert matching_table(n) is table
+        assert table.matchings == tuple(enumerate_matchings(list(range(n))))
+        assert not table.partner.flags.writeable
+        for M, row in zip(table.matchings, table.partner.tolist()):
+            want = list(range(n))
+            for u, v in M:
+                want[u], want[v] = v, u
+            assert row == want, M
+
+
 class TestGraphValidation:
+    def test_hash_is_kept_and_matches_an_unchecked_copy(self):
+        """A graph built through ``__init__`` and its ``_unchecked`` twin hash and compare equal."""
+        layout = ModeLayout((1, 2, 2))
+        g = MeasurementGraph(layout, [(5, 0), (1, 2)])
+        h = MeasurementGraph._unchecked(ModeLayout((1, 2, 2)), ((0, 5), (1, 2)))
+        assert g == h and hash(g) == hash(h) == hash((layout, g.edges))
+        assert hash(g) == g._hash and hash(h) == h._hash
+        assert {g: 1}[h] == 1
+        assert h.canonical() == g.canonical() and hash(h.canonical()) == hash(g.canonical())
+
     def test_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
             MeasurementGraph(ModeLayout((1, 2)), [(0, 0)])

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qoverlap
+from qoverlap import graphs
 
 MODULES = [qoverlap] + [
     importlib.import_module(f"qoverlap.{info.name}")
@@ -48,6 +50,8 @@ def test_cli_import_builds_no_cache():
     assert {
         "qoverlap.graphs._ring_chain",
         "qoverlap.graphs._ring_plan",
+        "qoverlap.graphs.matching_table",
+        "qoverlap.graphs._class_codes",
         "qoverlap.cli._parser",
     } <= set(sizes)
     assert not any(sizes.values()), sizes
@@ -124,6 +128,21 @@ def test_one_pattern_path():
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "graphs" for a in n.names]
     assert "pattern_rows" in imported
     assert not [name for name in imported if name.startswith("_")], imported
+
+
+def test_one_matching_table_and_no_canonical_in_the_word_expansion():
+    """Matchings come from the lru-cached ``graphs.matching_table``, the only caller of
+    ``enumerate_matchings(`` besides its own recursion; ``derive._word_monomials`` and
+    ``derive._submatchings`` look classes up by orbit code and call no ``canonical``."""
+    assert _places("enumerate_matchings(") == {("graphs.py", "enumerate_matchings"), ("graphs.py", "matching_table")}
+    tree = ast.parse((Path(qoverlap.__file__).resolve().parent / "derive.py").read_text())
+    defs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("_word_monomials", "_submatchings"):
+        used = {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+        used |= {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert not {"canonical", "MeasurementGraph", "_exchange_minimum"} & used, name
+    for fn in (graphs.matching_table, graphs._class_codes):
+        assert isinstance(fn, functools._lru_cache_wrapper), fn
 
 
 def test_no_module_level_cache_dict():
